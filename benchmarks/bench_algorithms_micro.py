@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro import AClose, Apriori, Charm, Close
+from repro.algorithms.rule_generation import generate_all_rules
 from repro.core.informative import InformativeBasis
 from repro.core.itemset import Itemset
 from repro.core.lattice import IcebergLattice, hasse_edges_reference
@@ -69,6 +70,23 @@ def test_luxenburger_reduced_basis_construction(benchmark, mined):
         lambda: LuxenburgerBasis(mined.closed, minconf=0.7, transitive_reduction=True)
     )
     assert len(basis) > 0
+
+
+MUSHROOM_ALL_RULES_AT_07 = 58_721
+
+
+def test_engine_all_rules(benchmark, mined):
+    """Array-native ``all`` basis on MUSHROOM* at minconf 0.7 (gated).
+
+    One vectorised subset pass over the packed frequent family: every
+    proper non-empty subset of each frequent itemset is looked up by
+    mask and the confidence window applied as one column.  The family is
+    packed on the first round and cached on it, so later rounds time the
+    selection and the streamed column emission.  The name matches the
+    ``engine`` filter of the regression gate.
+    """
+    rules = benchmark(lambda: generate_all_rules(mined.frequent, minconf=0.7))
+    assert len(rules) == MUSHROOM_ALL_RULES_AT_07
 
 
 def test_engine_lattice_construction(benchmark, mined):

@@ -1,22 +1,38 @@
 """Classical generation of *all* valid association rules.
 
 This is the baseline the bases are measured against: given the family of
-frequent itemsets (from Apriori), enumerate every rule ``X → Y`` with
-``X, Y`` non-empty and disjoint, ``X ∪ Y`` frequent, and confidence at
-least ``minconf``.  The number of such rules explodes on dense data —
-that explosion, and the redundancy it carries, is precisely the problem
-statement of the ICDE 2000 paper.
+frequent itemsets (from Apriori), enumerate every rule ``X → Z \\ X``
+with ``Z`` frequent, ``X`` a non-empty proper subset of ``Z`` and
+confidence ``supp(Z) / supp(X)`` at least ``minconf``.  The number of
+such rules explodes on dense data — that explosion, and the redundancy
+it carries, is precisely the problem statement of the ICDE 2000 paper.
+
+The generation is array-native, two passes over the frequent family
+packed once in canonical order (:meth:`ItemsetFamily.packed
+<repro.core.families.ItemsetFamily.packed>`):
+
+* **selection** — for each group of itemsets ``Z`` of one size ``k``,
+  the masks of all ``2^k - 2`` proper non-empty subsets ``X`` are built
+  in ``itertools.combinations`` (size, lexicographic) order with one
+  integer product per mask word (the bits are distinct, so the sum is
+  the OR); each ``X`` is looked up with ``searchsorted`` over the sorted
+  mask rows and the confidence window is applied to the whole candidate
+  column.  The work is output-sensitive: ``Σ (2^|Z| - 2)`` lookups, not
+  a pairwise subset scan of the family;
+* **emission** — the kept ``(Z, X)`` row pairs are gathered into
+  :class:`~repro.core.rulearrays.RuleArrays` columns in streamed row
+  blocks, as the Luxenburger emitter does.
+
+Rows come out in row-major ``(Z, X)`` order, which is the order of the
+classical per-rule loop, and the columns are packed over the items the
+rules use.
 
 Two refinements are exposed because the experiment tables need them
-separately:
+separately; both are confidence splits of the same selection pass:
 
 * :func:`generate_exact_rules` — only the 100 %-confidence rules;
 * :func:`generate_approximate_rules` — only the rules with confidence in
   ``[minconf, 1)``.
-
-Both are one enumeration pass with the confidence window applied inline;
-in particular the approximate variant does **not** materialise the full
-rule set first and filter afterwards.
 
 Supports come from the provided :class:`~repro.core.families.ItemsetFamily`;
 no database access is needed.
@@ -24,9 +40,14 @@ no database access is needed.
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..core.bitmatrix import BitMatrix
 from ..core.constants import EPSILON
 from ..core.families import ItemsetFamily
-from ..core.rules import AssociationRule, RuleSet
+from ..core.parallel import get_executor
+from ..core.rulearrays import RuleArrays, relative_supports, resolve_block_rows
+from ..core.rules import RuleSet
 from ..errors import InvalidParameterError
 
 __all__ = [
@@ -41,46 +62,137 @@ def _validate_minconf(minconf: float) -> None:
         raise InvalidParameterError(f"minconf must lie in [0, 1], got {minconf}")
 
 
-def _generate_rules(
-    frequent: ItemsetFamily,
-    minconf: float,
-    min_rule_size: int,
-    exclude_exact: bool = False,
-) -> RuleSet:
-    """One enumeration pass with the confidence window applied inline."""
-    rules = RuleSet()
-    n_objects = frequent.n_objects
-    for itemset, count in frequent.items_with_supports():
-        if len(itemset) < min_rule_size:
+def _subset_patterns(size: int) -> np.ndarray:
+    """The proper non-empty subsets of ``range(size)`` as uint64 0/1 rows.
+
+    Rows follow ``itertools.combinations`` order: subset size first, then
+    lexicographic on the chosen positions — for equal sizes, descending
+    on the bit-reversed subset mask (the lowest differing position
+    belongs to the earlier subset).
+    """
+    masks = np.arange(1, (1 << size) - 1, dtype=np.uint64)
+    bits = (masks[:, None] >> np.arange(size, dtype=np.uint64)) & np.uint64(1)
+    reversed_masks = bits @ (np.uint64(1) << np.arange(size, dtype=np.uint64)[::-1])
+    return bits[np.lexsort((~reversed_masks, bits.sum(axis=1)))]
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """Each packed mask row as one opaque key that sorts and compares whole."""
+    words = np.ascontiguousarray(words)
+    return words.view(np.dtype((np.void, 8 * words.shape[1]))).reshape(-1)
+
+
+def _select(
+    frequent: ItemsetFamily, minconf: float, block_rows: int | None, workers: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every rule above *minconf* as ``(Z rows, X rows, confidences)``.
+
+    Rows index :meth:`ItemsetFamily.packed` and come in row-major
+    ``(Z, X)`` order.  Each task covers rows of one size and at most
+    ``block_rows`` candidate subsets, so the subset masks of only one
+    task per worker are ever live.
+    """
+    packed = frequent.packed()
+    words = packed.matrix.words
+    counts = packed.counts
+    sizes = packed.matrix.row_counts()
+    budget = resolve_block_rows(block_rows, words.shape[1])
+    tasks = []
+    # Not np.unique: it imports numpy.ma, which then pins memory for good.
+    for size in range(2, int(sizes.max(initial=0)) + 1):
+        start, stop = np.searchsorted(sizes, [size, size + 1])
+        if start == stop:
             continue
-        support = count / n_objects if n_objects else 0.0
-        for antecedent in itemset.nonempty_proper_subsets():
-            antecedent_count = frequent.get(antecedent)
-            if antecedent_count is None or antecedent_count == 0:
-                # Cannot happen for a downward-closed family; guard anyway.
-                continue
-            confidence = count / antecedent_count
-            if confidence < minconf - EPSILON:
-                continue
-            if exclude_exact and confidence >= 1.0 - EPSILON:
-                continue
-            rules.add(
-                AssociationRule(
-                    antecedent,
-                    itemset.difference(antecedent),
-                    support=support,
-                    confidence=confidence,
-                    support_count=count,
-                )
-            )
-    return rules
+        patterns = _subset_patterns(size)
+        step = max(1, budget // len(patterns))
+        tasks += [
+            (low, min(low + step, stop), patterns) for low in range(start, stop, step)
+        ]
+    empty = np.zeros(0, dtype=np.int64)
+    if not tasks:
+        return empty, empty, np.zeros(0, dtype=np.float64)
+    keys = _row_keys(words)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def select(task: tuple[int, int, np.ndarray]) -> tuple[np.ndarray, ...]:
+        low, high, patterns = task
+        _, positions = BitMatrix(words[low:high], packed.matrix.n_cols).nonzero()
+        positions = positions.reshape(high - low, patterns.shape[1])
+        values = np.uint64(1) << (positions & 63).astype(np.uint64)
+        subsets = np.zeros((high - low, len(patterns), words.shape[1]), dtype=np.uint64)
+        for word in range(words.shape[1]):
+            in_word = positions >> 6 == word
+            if in_word.any():
+                subsets[:, :, word] = np.where(in_word, values, np.uint64(0)) @ patterns.T
+        queries = _row_keys(subsets.reshape(-1, words.shape[1]))
+        found = np.minimum(np.searchsorted(sorted_keys, queries), len(order) - 1)
+        x_rows = order[found]
+        body = np.where(sorted_keys[found] == queries, counts[x_rows], 0)
+        x_rows = x_rows.reshape(high - low, len(patterns))
+        body = body.reshape(x_rows.shape)
+        confidence = np.zeros(x_rows.shape)
+        np.divide(counts[low:high, None], body, out=confidence, where=body > 0)
+        z_local, x_local = np.nonzero((body > 0) & (confidence >= minconf - EPSILON))
+        return low + z_local, x_rows[z_local, x_local], confidence[z_local, x_local]
+
+    parts = get_executor(workers).map(select, tasks)
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _emit(
+    frequent: ItemsetFamily,
+    z_rows: np.ndarray,
+    x_rows: np.ndarray,
+    confidences: np.ndarray,
+    block_rows: int | None,
+    workers: int | None,
+) -> RuleSet:
+    """The selected rules as columns over the items they use, streamed.
+
+    Each row block gathers ``X`` and ``Z`` mask rows of the family
+    (projected onto the rules' items) and AND-NOTs them into the
+    consequents, as :class:`~repro.core.luxenburger.LuxenburgerBasis`
+    does for closed pairs.
+    """
+    packed = frequent.packed()
+    in_rule = np.zeros(len(packed.members), dtype=bool)
+    in_rule[z_rows] = True
+    used = np.bitwise_or.reduce(packed.matrix.words[in_rule], axis=0)
+    columns = BitMatrix(used[None, :], packed.matrix.n_cols).row_indices(0)
+    universe = tuple(packed.universe[column] for column in columns)
+    masks = packed.matrix.take_columns(columns).words
+    n_objects = frequent.n_objects
+    block = resolve_block_rows(block_rows, masks.shape[1])
+
+    def assemble(start: int) -> RuleArrays:
+        rows = slice(start, start + block)
+        antecedents = masks[x_rows[rows]]
+        support_counts = packed.counts[z_rows[rows]]
+        return RuleArrays(
+            BitMatrix(antecedents, len(universe)),
+            BitMatrix(masks[z_rows[rows]] & ~antecedents, len(universe)),
+            universe,
+            relative_supports(support_counts, n_objects),
+            confidences[rows],
+            support_counts,
+        )
+
+    arrays = RuleArrays.from_blocks(
+        get_executor(workers).imap(assemble, range(0, len(z_rows), block)),
+        universe,
+        n_rows=len(z_rows),
+    )
+    # Keys are unique by construction: Z = X ∪ (Z \ X) identifies the pair.
+    return RuleSet.from_arrays(arrays, assume_unique=True)
 
 
 def generate_all_rules(
     frequent: ItemsetFamily,
     minconf: float,
     *,
-    min_rule_size: int = 2,
+    block_rows: int | None = None,
+    workers: int | None = None,
 ) -> RuleSet:
     """Generate every valid association rule from the frequent itemsets.
 
@@ -91,34 +203,56 @@ def generate_all_rules(
         output of :class:`~repro.algorithms.apriori.Apriori`).
     minconf:
         Minimum confidence threshold in ``[0, 1]``.
-    min_rule_size:
-        Minimum cardinality of ``X ∪ Y``; the classical definition uses 2
-        (a rule needs at least one item on each side).
+    block_rows:
+        Row-block size of both passes (candidate subsets per selection
+        task, rules per emitted block); ``None`` sizes them from the
+        shared working-set budget.  Purely a peak-memory knob.
+    workers:
+        Worker count of both passes; ``None`` defers to
+        ``REPRO_NUM_WORKERS``, else serial.  Purely a wall-clock knob.
 
     Returns
     -------
     RuleSet
         All rules ``X → Y`` with non-empty, disjoint sides, ``X ∪ Y``
-        frequent and ``confidence ≥ minconf``.
+        frequent and ``confidence ≥ minconf``, as an array-backed set.
     """
     _validate_minconf(minconf)
-    return _generate_rules(frequent, minconf, min_rule_size)
+    selection = _select(frequent, minconf, block_rows, workers)
+    return _emit(frequent, *selection, block_rows, workers)
 
 
-def generate_exact_rules(frequent: ItemsetFamily) -> RuleSet:
+def generate_exact_rules(
+    frequent: ItemsetFamily,
+    *,
+    block_rows: int | None = None,
+    workers: int | None = None,
+) -> RuleSet:
     """Generate every exact (100 %-confidence) association rule.
 
     A rule ``X → Y`` is exact iff ``support(X ∪ Y) = support(X)``, i.e. the
     antecedent never occurs without the consequent.
     """
-    return generate_all_rules(frequent, minconf=1.0)
+    return generate_all_rules(
+        frequent, minconf=1.0, block_rows=block_rows, workers=workers
+    )
 
 
-def generate_approximate_rules(frequent: ItemsetFamily, minconf: float) -> RuleSet:
+def generate_approximate_rules(
+    frequent: ItemsetFamily,
+    minconf: float,
+    *,
+    block_rows: int | None = None,
+    workers: int | None = None,
+) -> RuleSet:
     """Generate every approximate rule with confidence in ``[minconf, 1)``.
 
-    The exact rules are excluded during the enumeration itself (one pass),
-    not by generating everything and filtering afterwards.
+    The exact rules are split off the selection before any column is
+    emitted, not generated and filtered afterwards.
     """
     _validate_minconf(minconf)
-    return _generate_rules(frequent, minconf, min_rule_size=2, exclude_exact=True)
+    z_rows, x_rows, confidences = _select(frequent, minconf, block_rows, workers)
+    keep = confidences < 1.0 - EPSILON
+    return _emit(
+        frequent, z_rows[keep], x_rows[keep], confidences[keep], block_rows, workers
+    )

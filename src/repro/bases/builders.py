@@ -44,7 +44,12 @@ class AllRulesBasis:
 
     def build(self, context: BasisContext) -> BuiltBasis:
         frequent = context.require_frequent(self.name)
-        rules = generate_all_rules(frequent, minconf=context.minconf)
+        rules = generate_all_rules(
+            frequent,
+            minconf=context.minconf,
+            block_rows=context.block_rows,
+            workers=context.workers,
+        )
         return BuiltBasis(
             name=self.name,
             kind=self.kind,
@@ -55,7 +60,7 @@ class AllRulesBasis:
 
 @register_basis
 class ExactRulesBasis:
-    """Every exact (confidence-1) rule, generated naively."""
+    """Every exact (confidence-1) rule: the confidence-1 split of ``all``."""
 
     name = "exact"
     kind = "exact"
@@ -63,7 +68,9 @@ class ExactRulesBasis:
 
     def build(self, context: BasisContext) -> BuiltBasis:
         frequent = context.require_frequent(self.name)
-        rules = generate_exact_rules(frequent)
+        rules = generate_exact_rules(
+            frequent, block_rows=context.block_rows, workers=context.workers
+        )
         return BuiltBasis(
             name=self.name,
             kind=self.kind,
@@ -74,7 +81,7 @@ class ExactRulesBasis:
 
 @register_basis
 class ApproximateRulesBasis:
-    """Every approximate rule in ``[minconf, 1)``, generated naively."""
+    """Every approximate rule in ``[minconf, 1)``: the split of ``all`` below 1."""
 
     name = "approximate"
     kind = "approximate"
@@ -82,7 +89,12 @@ class ApproximateRulesBasis:
 
     def build(self, context: BasisContext) -> BuiltBasis:
         frequent = context.require_frequent(self.name)
-        rules = generate_approximate_rules(frequent, minconf=context.minconf)
+        rules = generate_approximate_rules(
+            frequent,
+            minconf=context.minconf,
+            block_rows=context.block_rows,
+            workers=context.workers,
+        )
         return BuiltBasis(
             name=self.name,
             kind=self.kind,

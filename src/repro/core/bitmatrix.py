@@ -212,6 +212,19 @@ class BitMatrix:
         """Column indices of the set bits of row *row*, ascending."""
         return np.nonzero(self.row_bool(row))[0]
 
+    def take_columns(self, columns: np.ndarray) -> "BitMatrix":
+        """The matrix restricted to *columns*, in that order, re-packed.
+
+        Unpacks bounded row blocks only, like :meth:`column_counts`.
+        """
+        columns = np.asarray(columns, dtype=np.intp)
+        out = BitMatrix.zeros(self.n_rows, len(columns))
+        block = max(1, _BLOCK_CELLS // max(1, self.n_words * WORD_BITS))
+        for start in range(0, self.n_rows, block):
+            dense = BitMatrix(self.words[start : start + block], self.n_cols).to_dense()
+            out.words[start : start + len(dense)] = _pack_rows(dense[:, columns])
+        return out
+
     def column_bool(self, col: int) -> np.ndarray:
         """Column *col* as a bool array of length ``n_rows``.
 

@@ -159,7 +159,9 @@ class BasisDerivation:
         The confidence equals ``supp(h(X ∪ Y)) / supp(h(X))``.  When the two
         closures differ, that ratio is recovered as the product of the edge
         confidences along a lattice path of the Luxenburger basis, which is
-        exactly the deduction mechanism described with Theorem 2.
+        exactly the deduction mechanism described with Theorem 2.  The one
+        closure no path can start from is ``h(∅) = ∅`` (no item is in every
+        object), which is no lattice node; its support is ``n_objects``.
         """
         antecedent = Itemset.coerce(antecedent)
         consequent = Itemset.coerce(consequent)
@@ -168,6 +170,8 @@ class BasisDerivation:
         if lower == upper:
             return 1.0
         path_confidence = self._lux.path_confidence(lower, upper)
+        if path_confidence is None and not lower:
+            return self.support_count_of_closed(upper) / self._closed_supports[lower]
         if path_confidence is None:
             raise DerivationError(
                 f"no Luxenburger path between {lower} and {upper}; "

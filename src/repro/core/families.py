@@ -20,13 +20,28 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Iterator, Mapping
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import InvalidParameterError
+from .bitmatrix import BitMatrix
 from .itemset import Item, Itemset
 
-__all__ = ["ItemsetFamily", "ClosedItemsetFamily"]
+__all__ = ["ItemsetFamily", "ClosedItemsetFamily", "PackedFamily"]
+
+
+class PackedFamily(NamedTuple):
+    """An itemset family as packed mask rows (see :meth:`ItemsetFamily.packed`)."""
+
+    #: The members in canonical (size, lexicographic) order.
+    members: list[Itemset]
+    #: Items of the members in canonical bit order.
+    universe: tuple[Item, ...]
+    #: One read-only mask row per member, over :attr:`universe`.
+    matrix: BitMatrix
+    #: Read-only int64 absolute supports aligned with :attr:`members`.
+    counts: np.ndarray
 
 
 class ItemsetFamily:
@@ -66,6 +81,12 @@ class ItemsetFamily:
             self._supports[itemset] = count
         self._n_objects = n_objects
         self._minsup_count = minsup_count
+
+    #: Lazily built packed form (see :meth:`packed`).
+    _packed: PackedFamily | None = None
+
+    #: Guards the lazy packing, like ``ClosedItemsetFamily._closure_index_lock``.
+    _packed_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -118,6 +139,30 @@ class ItemsetFamily:
     def to_dict(self) -> dict[Itemset, int]:
         """Return a copy of the underlying ``itemset -> count`` mapping."""
         return dict(self._supports)
+
+    def packed(self) -> PackedFamily:
+        """The members packed once, in canonical order, over their own items.
+
+        Built on first use and cached (families are immutable after
+        construction); the all-rules emitter and the artifact store both
+        read it, so a mined family is sorted and packed exactly once.
+        """
+        if self._packed is None:
+            with self._packed_lock:
+                if self._packed is not None:
+                    return self._packed
+                from .rulearrays import pack_itemsets_into, sorted_universe
+
+                members = self.itemsets()
+                universe = sorted_universe(item for member in members for item in member)
+                matrix = pack_itemsets_into(members, universe)
+                counts = np.array(
+                    [self._supports[member] for member in members], dtype=np.int64
+                )
+                matrix.words.setflags(write=False)
+                counts.setflags(write=False)
+                self._packed = PackedFamily(members, universe, matrix, counts)
+        return self._packed
 
     # ------------------------------------------------------------------
     # Support queries
@@ -211,9 +256,7 @@ class ClosedItemsetFamily(ItemsetFamily):
                 from .rulearrays import pack_itemsets_into, sorted_universe
 
                 members = sorted(self._supports, key=len)  # stable order kept
-                universe = sorted_universe(
-                    item for member in members for item in member
-                )
+                universe = sorted_universe(item for member in members for item in member)
                 item_position = {item: pos for pos, item in enumerate(universe)}
                 matrix = pack_itemsets_into(members, universe)
                 sizes = np.array([len(member) for member in members], dtype=np.int64)

@@ -52,7 +52,7 @@ from ..core.generators import GeneratorFamily
 from ..core.itemset import Item, Itemset
 from ..core.lattice import IcebergLattice
 from ..core.order import PackedOrderCore, pack_itemset_masks
-from ..core.rulearrays import RuleArrays, pack_itemsets_into, sorted_universe
+from ..core.rulearrays import RuleArrays, sorted_universe
 from ..data.context import TransactionDatabase
 from ..errors import InvalidParameterError, StoreFormatError, StoreIntegrityError
 from ..ioutils import atomic_write
@@ -127,15 +127,12 @@ def _decode_members(matrix: BitMatrix, universe: Sequence[Item]) -> list[Itemset
 # ----------------------------------------------------------------------
 def _family_section(prefix: str, family: ItemsetFamily, payload: dict) -> dict:
     """Pack one itemset family into ``payload``; return its manifest entry."""
-    members = family.itemsets()
-    universe = sorted_universe(item for member in members for item in member)
-    payload[f"{prefix}__words"] = pack_itemsets_into(members, universe).words
-    payload[f"{prefix}__counts"] = np.array(
-        [family.support_count(member) for member in members], dtype=np.int64
-    )
-    payload[f"{prefix}__universe"] = _encode_items(universe)
+    packed = family.packed()
+    payload[f"{prefix}__words"] = packed.matrix.words
+    payload[f"{prefix}__counts"] = packed.counts
+    payload[f"{prefix}__universe"] = _encode_items(packed.universe)
     return {
-        "n_members": len(members),
+        "n_members": len(packed.members),
         "n_objects": family.n_objects,
         "minsup_count": family.minsup_count,
     }
@@ -359,10 +356,9 @@ def save_run(
             raise InvalidParameterError(
                 "the generator family was built from a different closed family"
             )
-        members = closed.itemsets()
-        position = {member: index for index, member in enumerate(members)}
-        universe = sorted_universe(item for member in members for item in member)
-        gen_matrix, closures, _ = generators.packed_masks(universe)
+        packed = closed.packed()
+        position = {member: index for index, member in enumerate(packed.members)}
+        gen_matrix, closures, _ = generators.packed_masks(packed.universe)
         payload["generators__words"] = gen_matrix.words
         payload["generators__closure_index"] = np.array(
             [position[closure] for closure in closures], dtype=np.int64

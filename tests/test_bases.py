@@ -11,11 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro import Apriori, Close
-from repro.algorithms.rule_generation import (
-    generate_all_rules,
-    generate_approximate_rules,
-    generate_exact_rules,
-)
 from repro.bases import (
     DEFAULT_BASES,
     BasisContext,
@@ -32,6 +27,12 @@ from repro.core.informative import GenericBasis, InformativeBasis
 from repro.core.lattice import IcebergLattice, hasse_edges_reference
 from repro.core.luxenburger import LuxenburgerBasis
 from repro.errors import InvalidParameterError
+
+from oracles import (
+    all_rules_reference,
+    approximate_rules_reference,
+    exact_rules_reference,
+)
 
 ALL_NAMES = (
     "all",
@@ -60,17 +61,21 @@ def make_context(database, minsup=MINSUP, minconf=MINCONF):
 
 
 def reference_rules(name, context):
-    """The pre-refactor construction of each basis, called directly."""
+    """The pre-refactor construction of each basis, called directly.
+
+    The naive bases come from the per-rule object loop in ``oracles``,
+    not from the array-native emitter the registry builds them with.
+    """
     frequent = context.frequent
     closed = context.closed
     generators = context.generators
     minconf = context.minconf
     if name == "all":
-        return generate_all_rules(frequent, minconf=minconf)
+        return all_rules_reference(frequent, minconf)
     if name == "exact":
-        return generate_exact_rules(frequent)
+        return exact_rules_reference(frequent)
     if name == "approximate":
-        return generate_approximate_rules(frequent, minconf=minconf)
+        return approximate_rules_reference(frequent, minconf)
     if name == "dg":
         return build_duquenne_guigues_basis(frequent, closed).rules
     if name == "luxenburger":

@@ -55,6 +55,27 @@ class TestPrimitives:
         assert rule.confidence == pytest.approx(0.75)
         assert rule.support_count == 3
 
+    def test_empty_antecedent_when_no_item_is_everywhere(self, toy_db):
+        # No toy item is in every object: h(∅) = ∅ is no lattice node, so
+        # the confidence of ∅ → Y divides by supp(∅) = n_objects.
+        _, derivation = build_derivation(toy_db, 0.4)
+        rule = derivation.derive_rule(Itemset(), Itemset("c"))
+        assert rule.support == 0.8
+        assert rule.confidence == 0.8
+        assert rule.support_count == 4
+        assert derivation.confidence(Itemset(), Itemset("be")) == 0.8
+        assert derivation.confidence(Itemset(), Itemset("abce")) == 0.4
+        with pytest.raises(DerivationError):
+            derivation.derive_rule(Itemset(), Itemset("d"))
+
+    def test_empty_antecedent_with_universal_item(self, allx_db):
+        # h(∅) = {x} is a lattice node: the ordinary path product applies.
+        _, derivation = build_derivation(allx_db, 0.25)
+        assert derivation.derive_rule(Itemset(), Itemset("x")).confidence == 1.0
+        rule = derivation.derive_rule(Itemset(), Itemset("a"))
+        assert rule.support == 0.5
+        assert rule.confidence == 0.5
+
     def test_unknown_closed_support_raises(self, toy_db):
         _, derivation = build_derivation(toy_db, 0.4)
         with pytest.raises(DerivationError):

@@ -1,10 +1,18 @@
-"""Tests for the classical all-valid-rules generation (the baseline)."""
+"""Tests for the classical all-valid-rules generation (the baseline).
+
+The array-native emitter is checked column for column against the
+per-rule object loop kept in ``oracles``: on the toy context, and as a
+hypothesis property over random contexts whose universes straddle the
+uint64 word boundary.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import Apriori
+from repro import Apriori, TransactionDatabase
 from repro.algorithms.rule_generation import (
     generate_all_rules,
     generate_approximate_rules,
@@ -12,6 +20,12 @@ from repro.algorithms.rule_generation import (
 )
 from repro.core.itemset import Itemset
 from repro.errors import InvalidParameterError
+
+from oracles import (
+    all_rules_reference,
+    approximate_rules_reference,
+    exact_rules_reference,
+)
 
 
 class TestGenerateAllRules:
@@ -62,10 +76,6 @@ class TestGenerateAllRules:
         with pytest.raises(InvalidParameterError):
             generate_all_rules(toy_frequent, minconf=1.5)
 
-    def test_min_rule_size_parameter(self, toy_frequent):
-        rules = generate_all_rules(toy_frequent, minconf=0.5, min_rule_size=3)
-        assert all(len(rule.itemset) >= 3 for rule in rules)
-
 
 class TestExactAndApproximateSplits:
     def test_exact_rules_have_confidence_one(self, toy_frequent):
@@ -102,3 +112,106 @@ class TestExactAndApproximateSplits:
         # rules — that is the redundancy the paper is about.
         assert len(exact) > 10
         assert len(all_rules) > len(exact)
+
+
+# ----------------------------------------------------------------------
+# Array-native emitter == per-rule object loop, column for column
+# ----------------------------------------------------------------------
+def assert_same_columns(rules, reference) -> None:
+    """Exact equality of every column and of the universe (no tolerance)."""
+    left, right = rules.to_arrays(), reference.to_arrays()
+    assert left.universe == right.universe
+    assert np.array_equal(left.antecedents.words, right.antecedents.words)
+    assert np.array_equal(left.consequents.words, right.consequents.words)
+    assert np.array_equal(left.support, right.support)
+    assert np.array_equal(left.confidence, right.confidence)
+    assert np.array_equal(left.support_count, right.support_count)
+
+
+def assert_matches_oracle(frequent, minconf) -> None:
+    assert_same_columns(
+        generate_all_rules(frequent, minconf), all_rules_reference(frequent, minconf)
+    )
+    assert_same_columns(generate_exact_rules(frequent), exact_rules_reference(frequent))
+    assert_same_columns(
+        generate_approximate_rules(frequent, minconf),
+        approximate_rules_reference(frequent, minconf),
+    )
+
+
+@st.composite
+def word_boundary_contexts(draw, n_items: int, lonely: bool):
+    """A random context over exactly *n_items* items in rules at minconf 0.
+
+    Every item lands in a row of two to five items, so at minsup count 1
+    each one is in some frequent pair and hence in some rule; a few
+    extra random rows make the confidences non-trivial.  With *lonely*,
+    one more item forms a row of its own: frequent, but in no rule, so
+    the rule universe is one item smaller than the family's.
+    """
+    items = draw(st.permutations([f"i{position:02d}" for position in range(n_items)]))
+    rows = []
+    start = 0
+    while start < n_items:
+        size = draw(st.integers(min_value=2, max_value=5))
+        if n_items - (start + size) == 1:
+            size += 1  # never leave one item alone
+        rows.append(items[start : start + size])
+        start += size
+    extra = st.lists(st.sampled_from(items), min_size=1, max_size=5, unique=True)
+    rows += draw(st.lists(extra, max_size=6))
+    if lonely:
+        rows.append(["a_lonely"])  # sorts first, so every used column shifts
+    return TransactionDatabase(rows)
+
+
+class TestArrayNativeMatchesOracle:
+    def test_toy_context_every_threshold(self, toy_frequent):
+        for minconf in (0.0, 0.5, 0.6, 0.7, 0.75, 1.0):
+            assert_matches_oracle(toy_frequent, minconf)
+
+    def test_item_in_no_rule_shrinks_the_universe(self):
+        db = TransactionDatabase([["a", "b"], ["a", "b"], ["z"], ["z"]])
+        frequent = Apriori(minsup=0.5).mine(db)
+        assert Itemset("z") in frequent
+        rules = generate_all_rules(frequent, minconf=0.0)
+        assert rules.to_arrays().universe == ("a", "b")
+        assert_matches_oracle(frequent, 0.0)
+
+    def test_frequent_singletons_only(self):
+        frequent = Apriori(minsup=0.5).mine(TransactionDatabase([["a"], ["b"]]))
+        assert len(frequent) == 2
+        for rules in (
+            generate_all_rules(frequent, 0.0),
+            generate_exact_rules(frequent),
+            generate_approximate_rules(frequent, 0.0),
+        ):
+            assert len(rules) == 0
+            assert rules.to_arrays().universe == ()
+
+    def test_rules_stay_columnar(self, toy_frequent):
+        rules = generate_all_rules(toy_frequent, minconf=0.5)
+        assert not rules.is_materialized()
+
+    @pytest.mark.parametrize("n_items", [63, 64, 65])
+    @pytest.mark.parametrize("lonely", [False, True])
+    @pytest.mark.parametrize("threshold", ["zero", "one", "attained"])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_random_word_boundary_contexts(self, n_items, lonely, threshold, data):
+        db = data.draw(word_boundary_contexts(n_items, lonely))
+        frequent = Apriori(minsup=0.0).mine(db)
+        if threshold == "zero":
+            minconf = 0.0
+        elif threshold == "one":
+            minconf = 1.0
+        else:
+            # A confidence some rule has exactly: the window's closed end.
+            attained = sorted(
+                {rule.confidence for rule in all_rules_reference(frequent, 0.0)}
+            )
+            minconf = data.draw(st.sampled_from(attained))
+        if threshold == "zero":
+            universe = generate_all_rules(frequent, minconf).to_arrays().universe
+            assert len(universe) == n_items
+        assert_matches_oracle(frequent, minconf)

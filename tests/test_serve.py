@@ -361,6 +361,22 @@ class TestDeriveEndpoint:
                     rule["confidence"]
                 )
 
+    def test_empty_antecedent(self, app, oracle):
+        # No Fig. 1 item is in every object, so h(∅) = ∅ is no lattice
+        # node; the answer divides supp(c) by n_objects.
+        status, payload = self.derive(app, {"antecedent": [], "consequent": ["c"]})
+        assert status == 200
+        assert payload["derivable"] is True
+        assert payload["rule"] == {
+            "antecedent": [],
+            "consequent": ["c"],
+            "support": 0.8,
+            "confidence": 0.8,
+            "support_count": 4,
+        }
+        rule = oracle.derive_rule(Itemset(), Itemset(["c"]))
+        assert (rule.support, rule.confidence) == (0.8, 0.8)
+
     def test_not_derivable_422(self, app, oracle):
         body = {"antecedent": ["a"], "consequent": ["z"]}
         with pytest.raises(DerivationError):
