@@ -24,7 +24,7 @@ from repro import AClose, Apriori, Charm, Close
 from repro.algorithms.rule_generation import generate_all_rules
 from repro.core.informative import InformativeBasis
 from repro.core.itemset import Itemset
-from repro.core.lattice import IcebergLattice, hasse_edges_reference
+from repro.core.lattice import IcebergLattice
 from repro.core.luxenburger import LuxenburgerBasis
 from repro.core.rules import RuleSet
 from repro.data.benchmarks_data import make_mushroom
@@ -36,6 +36,8 @@ from repro.data.synthetic import (
 from repro.engine import make_engine
 from repro.experiments.harness import mine_itemsets
 from repro.recommend import Recommender
+
+from oracles import hasse_edges_reference
 
 MINSUP = 0.5
 
@@ -92,8 +94,8 @@ def test_engine_all_rules(benchmark, mined):
 def test_engine_lattice_construction(benchmark, mined):
     """Vectorised iceberg-lattice build on the MUSHROOM* closed family.
 
-    This is the packed-mask containment + boolean transitive reduction
-    path of ``repro.core.order``; the regression gate watches it (the
+    This is the packed containment + gather/OR-reduce transitive
+    reduction of ``repro.core.order``; the regression gate watches it (the
     name matches the ``engine`` filter).  The ratio against
     ``test_lattice_reference_builder`` is the vectorisation speedup
     (>= 3x on this workload).
@@ -103,7 +105,11 @@ def test_engine_lattice_construction(benchmark, mined):
 
 
 def test_lattice_reference_builder(benchmark, mined):
-    """The pre-vectorisation per-pair Hasse builder (baseline, not gated)."""
+    """The pre-vectorisation per-pair Hasse builder (baseline, not gated).
+
+    The oracle lives in ``tests/oracles.py``; the benchmark conftest puts
+    ``tests/`` on the import path.
+    """
     edges = benchmark(lambda: hasse_edges_reference(mined.closed))
     assert len(edges) > 0
 
@@ -111,16 +117,15 @@ def test_lattice_reference_builder(benchmark, mined):
 def test_engine_lattice_packed_large(benchmark):
     """Bit-packed lattice build on a 16k-node synthetic closed family.
 
-    16k nodes is past the auto dense->packed threshold, so this times the
-    :mod:`repro.core.bitmatrix` order core (blocked packed containment +
-    gather/OR-reduce transitive reduction) on a family the dense matrices
-    would spend ~0.5 GB on.  The star family's Hasse structure is known
-    analytically, so the result is asserted edge-for-edge.  Gated by the
-    CI regression check (the name matches the ``engine`` filter).
+    Times the :mod:`repro.core.bitmatrix` order core (blocked packed
+    containment + gather/OR-reduce transitive reduction) on a family two
+    dense bool matrices would spend ~0.5 GB on.  The star family's Hasse
+    structure is known analytically, so the result is asserted
+    edge-for-edge.  Gated by the CI regression check (the name matches
+    the ``engine`` filter).
     """
     family = make_star_closed_family(16_386)
-    lattice = benchmark(lambda: IcebergLattice(family, strategy="packed"))
-    assert lattice.strategy == "packed"
+    lattice = benchmark(lambda: IcebergLattice(family))
     assert lattice.edge_count() == 2 * 16_384
 
 
@@ -241,7 +246,7 @@ def test_engine_parallel_lattice(benchmark, workers):
     family = make_star_closed_family(PARALLEL_STAR_MEMBERS)
 
     def build():
-        return IcebergLattice(family, strategy="packed", workers=workers)
+        return IcebergLattice(family, workers=workers)
 
     lattice = benchmark.pedantic(build, rounds=1, iterations=1)
     assert lattice.edge_count() == 2 * (PARALLEL_STAR_MEMBERS - 2)
@@ -259,7 +264,7 @@ def test_engine_parallel_rule_emit(benchmark, workers):
     release the GIL, the per-block bookkeeping does not).
     """
     closed, generators = make_rule_dense_family(PARALLEL_RULE_CHAIN, 2)
-    lattice = IcebergLattice(closed, strategy="packed")
+    lattice = IcebergLattice(closed)
     expected = rule_dense_expected_counts(PARALLEL_RULE_CHAIN, 2)["informative_full"]
 
     def build() -> int:
@@ -301,7 +306,7 @@ def test_engine_recommend_throughput(benchmark):
     """
     chain = PARALLEL_RULE_CHAIN
     closed, generators = make_rule_dense_family(chain, 2)
-    lattice = IcebergLattice(closed, strategy="packed")
+    lattice = IcebergLattice(closed)
     arrays = InformativeBasis(
         generators, minconf=0.0, reduced=False, lattice=lattice, workers=0
     ).rules.to_arrays()

@@ -20,6 +20,9 @@ from repro.experiments.report import render_text_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+# Reference constructions (``from oracles import ...``) live with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
 
 def run_once(benchmark, function, *args, **kwargs):
     """Run *function* exactly once under pytest-benchmark timing."""

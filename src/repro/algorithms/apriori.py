@@ -11,11 +11,12 @@ compared against.
 
 The implementation below hands each candidate level to the context's
 closure engine as one batch, so support counting is a handful of
-vectorised reductions (a BLAS matrix product on the numpy engine, early
-exit tidset ANDs on the bitset engine) instead of a database re-scan per
-candidate; the number of logical database passes reported in the
-statistics still follows the classical level-wise accounting (one pass
-per level), which is what the original figures plot.
+vectorised reductions (packed cover ANDs and popcounts on the numpy
+engine, early exit tidset ANDs on the bitset engine) instead of a
+database re-scan per candidate; the number of logical database passes
+reported in the statistics still follows the classical level-wise
+accounting (one pass per level), which is what the original figures
+plot.
 """
 
 from __future__ import annotations

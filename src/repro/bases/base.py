@@ -57,10 +57,6 @@ class BasisContext:
         first use, so callers that *may* build a generator-backed basis
         do not pay for (or validate) the generators unless one is
         actually selected.
-    lattice_strategy:
-        Order-core strategy for the shared lattice (``"auto"``,
-        ``"dense"``, ``"packed"`` or ``"reference"``); see
-        :class:`~repro.core.lattice.IcebergLattice`.
     block_rows:
         Row-block size of the streamed column assembly used by the
         expanding bases (Luxenburger / informative).  ``None`` lets each
@@ -83,7 +79,6 @@ class BasisContext:
     generators_factory: Callable[[], GeneratorFamily] | None = field(
         default=None, repr=False, compare=False
     )
-    lattice_strategy: str = "auto"
     block_rows: int | None = None
     workers: int | None = None
     _lattice: IcebergLattice | None = field(
@@ -105,9 +100,7 @@ class BasisContext:
     def lattice(self) -> IcebergLattice:
         """The iceberg lattice of the closed family, built once and shared."""
         if self._lattice is None:
-            self._lattice = IcebergLattice(
-                self.closed, strategy=self.lattice_strategy, workers=self.workers
-            )
+            self._lattice = IcebergLattice(self.closed, workers=self.workers)
         return self._lattice
 
     def require_frequent(self, basis_name: str) -> ItemsetFamily:

@@ -1,14 +1,17 @@
-"""The nine registered rule bases.
+"""The nine registered rule bases, as one table.
 
-Each class below adapts one existing construction to the
-:class:`~repro.bases.base.RuleBasis` protocol; importing this module
-populates the registry.  The heavy lifting stays in :mod:`repro.core`
-and :mod:`repro.algorithms` — these adapters only wire the shared
+Each row of :data:`BASES` names a basis, its kind and its description,
+and picks one of four build functions that wire the shared
 :class:`~repro.bases.base.BasisContext` (and in particular its single
-iceberg lattice) into the constructors.
+iceberg lattice) into an existing construction.  The heavy lifting stays
+in :mod:`repro.core` and :mod:`repro.algorithms`; importing this module
+registers every row.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from ..algorithms.rule_generation import (
     generate_all_rules,
@@ -21,226 +24,143 @@ from ..core.luxenburger import LuxenburgerBasis
 from .base import BasisContext, BuiltBasis
 from .registry import register_basis
 
-__all__ = [
-    "AllRulesBasis",
-    "ExactRulesBasis",
-    "ApproximateRulesBasis",
-    "DuquenneGuiguesRuleBasis",
-    "LuxenburgerFullBasis",
-    "LuxenburgerReducedBasis",
-    "GenericRuleBasis",
-    "InformativeFullBasis",
-    "InformativeReducedBasis",
-]
+__all__ = ["TableBasis", "BASES"]
 
 
-@register_basis
-class AllRulesBasis:
-    """Every valid rule — the baseline the bases are measured against."""
+@dataclass(frozen=True)
+class TableBasis:
+    """One registered basis: a table row implementing the basis protocol.
 
-    name = "all"
-    kind = "all"
-    description = "all valid rules above minconf (the naive baseline)"
+    ``construct`` builds the basis from the row and the shared context;
+    ``reduced`` selects the transitively reduced variant of the
+    lattice-backed constructions.
+    """
+
+    name: str
+    kind: str
+    description: str
+    construct: Callable[["TableBasis", BasisContext], BuiltBasis]
+    reduced: bool = False
 
     def build(self, context: BasisContext) -> BuiltBasis:
-        frequent = context.require_frequent(self.name)
-        rules = generate_all_rules(
-            frequent,
-            minconf=context.minconf,
-            block_rows=context.block_rows,
-            workers=context.workers,
-        )
-        return BuiltBasis(
-            name=self.name,
-            kind=self.kind,
-            rules=rules,
-            metadata={"frequent_itemsets": len(frequent)},
-        )
+        """Build the basis from the shared context."""
+        return self.construct(self, context)
 
 
-@register_basis
-class ExactRulesBasis:
-    """Every exact (confidence-1) rule: the confidence-1 split of ``all``."""
-
-    name = "exact"
-    kind = "exact"
-    description = "all exact (confidence-1) rules, generated naively"
-
-    def build(self, context: BasisContext) -> BuiltBasis:
-        frequent = context.require_frequent(self.name)
-        rules = generate_exact_rules(
-            frequent, block_rows=context.block_rows, workers=context.workers
-        )
-        return BuiltBasis(
-            name=self.name,
-            kind=self.kind,
-            rules=rules,
-            metadata={"frequent_itemsets": len(frequent)},
-        )
+def _built(basis: TableBasis, construction) -> BuiltBasis:
+    return BuiltBasis(
+        name=basis.name,
+        kind=basis.kind,
+        rules=construction.rules,
+        source=construction,
+        metadata=construction.metadata,
+    )
 
 
-@register_basis
-class ApproximateRulesBasis:
-    """Every approximate rule in ``[minconf, 1)``: the split of ``all`` below 1."""
-
-    name = "approximate"
-    kind = "approximate"
-    description = "all approximate rules in [minconf, 1), generated naively"
-
-    def build(self, context: BasisContext) -> BuiltBasis:
-        frequent = context.require_frequent(self.name)
-        rules = generate_approximate_rules(
-            frequent,
-            minconf=context.minconf,
-            block_rows=context.block_rows,
-            workers=context.workers,
-        )
-        return BuiltBasis(
-            name=self.name,
-            kind=self.kind,
-            rules=rules,
-            metadata={"frequent_itemsets": len(frequent)},
-        )
+def _naive(basis: TableBasis, context: BasisContext) -> BuiltBasis:
+    """Every valid rule, or its exact or approximate split (by kind)."""
+    frequent = context.require_frequent(basis.name)
+    knobs = {"block_rows": context.block_rows, "workers": context.workers}
+    if basis.kind == "exact":
+        rules = generate_exact_rules(frequent, **knobs)
+    elif basis.kind == "approximate":
+        rules = generate_approximate_rules(frequent, context.minconf, **knobs)
+    else:
+        rules = generate_all_rules(frequent, context.minconf, **knobs)
+    return BuiltBasis(
+        name=basis.name,
+        kind=basis.kind,
+        rules=rules,
+        metadata={"frequent_itemsets": len(frequent)},
+    )
 
 
-@register_basis
-class DuquenneGuiguesRuleBasis:
-    """The minimum-size basis for exact rules (Theorem 1)."""
-
-    name = "dg"
-    kind = "exact"
-    description = "Duquenne-Guigues basis (pseudo-closed antecedents, Theorem 1)"
-
-    def build(self, context: BasisContext) -> BuiltBasis:
-        frequent = context.require_frequent(self.name)
-        basis = build_duquenne_guigues_basis(frequent, context.closed)
-        return BuiltBasis(
-            name=self.name,
-            kind=self.kind,
-            rules=basis.rules,
-            source=basis,
-            metadata=basis.metadata,
-        )
+def _duquenne_guigues(basis: TableBasis, context: BasisContext) -> BuiltBasis:
+    frequent = context.require_frequent(basis.name)
+    return _built(basis, build_duquenne_guigues_basis(frequent, context.closed))
 
 
-@register_basis
-class LuxenburgerFullBasis:
-    """Every comparable closed pair (the full Luxenburger basis)."""
-
-    name = "luxenburger"
-    kind = "approximate"
-    description = "full Luxenburger basis (every comparable closed pair)"
-
-    def build(self, context: BasisContext) -> BuiltBasis:
-        basis = LuxenburgerBasis(
-            context.closed,
-            minconf=context.minconf,
-            transitive_reduction=False,
-            lattice=context.lattice,
-            block_rows=context.block_rows,
-            workers=context.workers,
-        )
-        return BuiltBasis(
-            name=self.name,
-            kind=self.kind,
-            rules=basis.rules,
-            source=basis,
-            metadata=basis.metadata,
-        )
+def _luxenburger(basis: TableBasis, context: BasisContext) -> BuiltBasis:
+    construction = LuxenburgerBasis(
+        context.closed,
+        minconf=context.minconf,
+        transitive_reduction=basis.reduced,
+        lattice=context.lattice,
+        block_rows=context.block_rows,
+        workers=context.workers,
+    )
+    return _built(basis, construction)
 
 
-@register_basis
-class LuxenburgerReducedBasis:
-    """Hasse edges only — the transitively reduced basis of Theorem 2."""
-
-    name = "luxenburger-reduced"
-    kind = "approximate"
-    description = "reduced Luxenburger basis (lattice Hasse edges, Theorem 2)"
-
-    def build(self, context: BasisContext) -> BuiltBasis:
-        basis = LuxenburgerBasis(
-            context.closed,
-            minconf=context.minconf,
-            transitive_reduction=True,
-            lattice=context.lattice,
-            block_rows=context.block_rows,
-            workers=context.workers,
-        )
-        return BuiltBasis(
-            name=self.name,
-            kind=self.kind,
-            rules=basis.rules,
-            source=basis,
-            metadata=basis.metadata,
-        )
+def _generator_backed(basis: TableBasis, context: BasisContext) -> BuiltBasis:
+    """The generic basis (exact) or an informative basis (approximate)."""
+    generators = context.require_generators(basis.name)
+    if basis.kind == "exact":
+        return _built(basis, GenericBasis(generators))
+    construction = InformativeBasis(
+        generators,
+        minconf=context.minconf,
+        reduced=basis.reduced,
+        lattice=context.lattice,
+        block_rows=context.block_rows,
+        workers=context.workers,
+    )
+    return _built(basis, construction)
 
 
-@register_basis
-class GenericRuleBasis:
-    """Exact rules with minimal-generator antecedents (CL 2000 extension)."""
+#: Every registered basis, in registration order.
+BASES: tuple[TableBasis, ...] = (
+    TableBasis(
+        "all", "all", "all valid rules above minconf (the naive baseline)", _naive
+    ),
+    TableBasis(
+        "exact", "exact", "all exact (confidence-1) rules, generated naively", _naive
+    ),
+    TableBasis(
+        "approximate",
+        "approximate",
+        "all approximate rules in [minconf, 1), generated naively",
+        _naive,
+    ),
+    TableBasis(
+        "dg",
+        "exact",
+        "Duquenne-Guigues basis (pseudo-closed antecedents, Theorem 1)",
+        _duquenne_guigues,
+    ),
+    TableBasis(
+        "luxenburger",
+        "approximate",
+        "full Luxenburger basis (every comparable closed pair)",
+        _luxenburger,
+    ),
+    TableBasis(
+        "luxenburger-reduced",
+        "approximate",
+        "reduced Luxenburger basis (lattice Hasse edges, Theorem 2)",
+        _luxenburger,
+        reduced=True,
+    ),
+    TableBasis(
+        "generic",
+        "exact",
+        "generic basis (minimal-generator antecedents, exact rules)",
+        _generator_backed,
+    ),
+    TableBasis(
+        "informative",
+        "approximate",
+        "informative basis (generators to every larger closed set)",
+        _generator_backed,
+    ),
+    TableBasis(
+        "informative-reduced",
+        "approximate",
+        "reduced informative basis (generators along lattice edges)",
+        _generator_backed,
+        reduced=True,
+    ),
+)
 
-    name = "generic"
-    kind = "exact"
-    description = "generic basis (minimal-generator antecedents, exact rules)"
-
-    def build(self, context: BasisContext) -> BuiltBasis:
-        basis = GenericBasis(context.require_generators(self.name))
-        return BuiltBasis(
-            name=self.name,
-            kind=self.kind,
-            rules=basis.rules,
-            source=basis,
-            metadata=basis.metadata,
-        )
-
-
-@register_basis
-class InformativeFullBasis:
-    """Approximate rules from generators to every larger closed set."""
-
-    name = "informative"
-    kind = "approximate"
-    description = "informative basis (generators to every larger closed set)"
-
-    def build(self, context: BasisContext) -> BuiltBasis:
-        basis = InformativeBasis(
-            context.require_generators(self.name),
-            minconf=context.minconf,
-            reduced=False,
-            lattice=context.lattice,
-            block_rows=context.block_rows,
-            workers=context.workers,
-        )
-        return BuiltBasis(
-            name=self.name,
-            kind=self.kind,
-            rules=basis.rules,
-            source=basis,
-            metadata=basis.metadata,
-        )
-
-
-@register_basis
-class InformativeReducedBasis:
-    """Approximate rules from generators along lattice edges only."""
-
-    name = "informative-reduced"
-    kind = "approximate"
-    description = "reduced informative basis (generators along lattice edges)"
-
-    def build(self, context: BasisContext) -> BuiltBasis:
-        basis = InformativeBasis(
-            context.require_generators(self.name),
-            minconf=context.minconf,
-            reduced=True,
-            lattice=context.lattice,
-            block_rows=context.block_rows,
-            workers=context.workers,
-        )
-        return BuiltBasis(
-            name=self.name,
-            kind=self.kind,
-            rules=basis.rules,
-            source=basis,
-            metadata=basis.metadata,
-        )
+for _basis in BASES:
+    register_basis(_basis)

@@ -1,12 +1,13 @@
-"""Bit-packed boolean matrices for the large-n lattice order core.
+"""Bit-packed boolean matrices for the lattice order core.
 
-The dense order construction of :mod:`repro.core.order` stores the
-containment relation and its transitive reduction as two ``n x n`` bool
-arrays — 2 bytes per pair, which walls out families beyond a few tens of
-thousands of closed itemsets (2 x 2.5 GB at n = 50k).  This module packs
-the same relations 64 pairs per uint64 word, an 8x (vs one bool matrix)
-to 16x (vs the pair of them) memory reduction, and re-expresses the two
-construction passes so that only bounded row blocks are ever unpacked:
+Stored as two ``n x n`` bool arrays, the containment relation of a
+family and its transitive reduction take 2 bytes per pair, which walls
+out families beyond a few tens of thousands of closed itemsets (2 x 2.5
+GB at n = 50k).  This module packs the same relations 64 pairs per
+uint64 word, an 8x (vs one bool matrix) to 16x (vs the pair of them)
+memory reduction, and expresses the two construction passes of
+:class:`~repro.core.order.OrderCore` so that only bounded row blocks are
+ever unpacked:
 
 * :func:`packed_containment` — the bulk AND/compare subset pass, written
   block-by-block straight into packed words.  Rows sorted by cardinality
@@ -46,9 +47,7 @@ __all__ = [
 WORD_BITS = 64
 
 #: Upper bound (in matrix cells) on the temporary blocks unpacked or
-#: gathered by the blocked passes.  :mod:`repro.core.order` imports this
-#: as its dense working-set budget too, so one constant bounds both
-#: constructions.
+#: gathered by the blocked passes.
 _BLOCK_CELLS = 1 << 24
 
 #: Row cap per containment shard.  The cell budget alone lets a narrow
@@ -436,10 +435,9 @@ def packed_containment(
 ) -> BitMatrix:
     """Strict-containment relation of packed itemset masks, as a BitMatrix.
 
-    The packed equivalent of
-    :func:`repro.core.order.containment_matrix`: ``result[i, j]`` is true
-    iff row ``i`` of *masks* is a proper subset of row ``j``.  Rows must
-    be pairwise distinct.  When rows are sorted by cardinality (the
+    ``result[i, j]`` is true iff row ``i`` of *masks* is a proper subset
+    of row ``j``.  Rows must be pairwise distinct.  When rows are sorted
+    by cardinality (the
     canonical member order of an itemset family) the subset tests run per
     size group against the strictly-larger-size column suffix only, which
     skips every same-size pair of a wide lattice; unsorted input falls
@@ -544,8 +542,7 @@ def packed_hasse_reduction(
 ) -> BitMatrix:
     """Transitive reduction of a packed strict order: ``proper & ~(proper @ proper)``.
 
-    The packed equivalent of :func:`repro.core.order.hasse_reduction`:
-    a pair survives iff no third element lies strictly in between.  The
+    A pair survives iff no third element lies strictly in between.  The
     two-step relation is evaluated block by block through the packed
     gather/OR-reduce product and fused with the AND-NOT, so besides the
     packed result only one bounded block of words is live at a time.

@@ -144,10 +144,6 @@ class InformativeBasis:
     lattice:
         Optional pre-built iceberg lattice of the generators' closed
         family, to share the lattice construction between bases.
-    lattice_strategy:
-        Order-core strategy used when the basis builds its own lattice
-        (ignored when ``lattice`` is given); see
-        :class:`~repro.core.lattice.IcebergLattice`.
     block_rows:
         Row-block size of the streamed CSR expansion.  ``None`` (the
         default) sizes the blocks from the shared working-set budget so
@@ -170,7 +166,6 @@ class InformativeBasis:
         minconf: float,
         reduced: bool = True,
         lattice: IcebergLattice | None = None,
-        lattice_strategy: str = "auto",
         block_rows: int | None = None,
         workers: int | None = None,
     ) -> None:
@@ -189,9 +184,7 @@ class InformativeBasis:
         self._lattice = (
             lattice
             if lattice is not None
-            else IcebergLattice(
-                self._closed, strategy=lattice_strategy, workers=workers
-            )
+            else IcebergLattice(self._closed, workers=workers)
         )
         # Rows are unique by construction: the antecedent is the generator
         # mask and the consequent union the antecedent reconstructs the

@@ -8,90 +8,29 @@ paths drive the derivation of approximate-rule confidences, so this
 module is shared by :mod:`repro.core.luxenburger` and
 :mod:`repro.core.derivation`.
 
-Construction is vectorised behind a **strategy seam**: the closed family
-is packed into uint64 item-masks and handed to one of the three order
-cores of :mod:`repro.core.order` —
-
-* ``dense`` — two dense bool passes (bulk AND/compare containment,
-  float32-BLAS transitive reduction); fastest up to ~10k nodes at
-  ``n**2`` bytes of steady-state memory;
-* ``packed`` — the bit-packed :class:`~repro.core.bitmatrix.BitMatrix`
-  order (``n**2 / 8`` bytes, blocked construction and gather/OR-reduce
-  reduction); the only core that loads 50k+-node families;
-* ``reference`` — the original per-pair pure-Python Hasse builder
-  (:func:`hasse_edges_reference`), kept as the oracle the vectorised
-  cores are checked against.
-
-``strategy="auto"`` (the default) picks dense below
-:data:`~repro.core.order.DENSE_NODE_LIMIT` nodes and packed above, and
-can be forced process-wide with the ``REPRO_LATTICE_STRATEGY``
-environment variable, per lattice with the constructor argument, or from
-the CLI with ``repro bases --lattice-strategy packed``.
-
-Downstream consumers never touch the underlying matrices: the basis
-constructions iterate the exposed edge/confidence index arrays, and the
-neighbourhood queries go through strategy-agnostic accessors
-(:meth:`IcebergLattice.children_of`, :meth:`IcebergLattice.parents_of`,
-:meth:`IcebergLattice.is_ancestor`, …).  A :mod:`networkx` view is still
-available through :meth:`IcebergLattice.to_networkx` and is built lazily
-for the callers that want one.
+Construction packs the closed family into uint64 item-masks and hands
+them to the bit-packed :class:`~repro.core.order.OrderCore` (``n**2 / 8``
+bytes, blocked containment and gather/OR-reduce transitive reduction),
+which loads 50k+-node families.  Downstream consumers never touch the
+underlying matrices: the basis constructions iterate the exposed
+edge/confidence index arrays, and the neighbourhood queries go through
+the accessors (:meth:`IcebergLattice.children_of`,
+:meth:`IcebergLattice.parents_of`, :meth:`IcebergLattice.is_ancestor`, …).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-import networkx as nx
 import numpy as np
 
 from ..errors import InvalidParameterError
 from .constants import EPSILON
 from .families import ClosedItemsetFamily
 from .itemset import Itemset
-from .order import OrderCore, build_order_core, pack_itemset_masks, resolve_strategy
+from .order import OrderCore, pack_itemset_masks
 
-__all__ = ["IcebergLattice", "hasse_edges_reference"]
-
-
-def hasse_edges_reference(closed: ClosedItemsetFamily) -> list[tuple[Itemset, Itemset]]:
-    """Hasse edges by the pre-vectorisation per-pair algorithm.
-
-    This is the original pure-Python builder (inverted item index, then a
-    per-pair immediate-successor scan), kept as the oracle the vectorised
-    construction is checked against in the equivalence tests and as the
-    baseline of the lattice microbenchmark.
-    """
-    members = closed.itemsets()
-    index: dict[object, set[int]] = {}
-    for position, member in enumerate(members):
-        for item in member:
-            index.setdefault(item, set()).add(position)
-    all_positions = set(range(len(members)))
-
-    def proper_supersets(member: Itemset) -> list[Itemset]:
-        positions: set[int] | None = None
-        for item in member:
-            posting = index.get(item, set())
-            positions = posting.copy() if positions is None else positions & posting
-            if not positions:
-                return []
-        if positions is None:  # the empty itemset
-            positions = set(all_positions)
-        return [
-            members[position]
-            for position in positions
-            if len(members[position]) > len(member)
-        ]
-
-    edges: list[tuple[Itemset, Itemset]] = []
-    for smaller in members:
-        successors = sorted(proper_supersets(smaller), key=len)
-        immediate: list[Itemset] = []
-        for candidate in successors:
-            if not any(mid.is_proper_subset(candidate) for mid in immediate):
-                immediate.append(candidate)
-        edges.extend((smaller, successor) for successor in immediate)
-    return sorted(edges)
+__all__ = ["IcebergLattice"]
 
 
 class IcebergLattice:
@@ -101,27 +40,22 @@ class IcebergLattice:
     ----------
     closed:
         The frequent closed itemsets with their supports.
-    strategy:
-        Order-core strategy: ``"auto"`` (default; dense below the size
-        threshold, packed above, overridable via the
-        ``REPRO_LATTICE_STRATEGY`` environment variable), ``"dense"``,
-        ``"packed"`` or ``"reference"``.
     order_core:
         A prebuilt :class:`~repro.core.order.OrderCore` over the family's
         canonical member order.  When given, the (expensive) containment
-        and transitive-reduction passes are skipped entirely and
-        *strategy* is ignored — this is how :mod:`repro.store` rehydrates
-        a persisted lattice.  The core must have been built for exactly
-        this family's members in canonical order (``closed.itemsets()``);
-        a node-count mismatch raises.
+        and transitive-reduction passes are skipped entirely — this is
+        how :mod:`repro.store` rehydrates a persisted lattice.  The core
+        must have been built for exactly this family's members in
+        canonical order (``closed.itemsets()``); a node-count mismatch
+        raises.
     workers:
-        Worker count for the sharded construction kernels of the packed
+        Worker count for the sharded construction kernels of the order
         core (``None`` = the ``REPRO_NUM_WORKERS`` environment variable,
         else serial; ``0`` = all cores).  The built lattice is
         byte-identical for any worker count; ignored when *order_core*
-        is given or a non-packed strategy resolves.
+        is given.
     retain_containment:
-        When ``False`` the packed core drops the ``n**2 / 8``-byte
+        When ``False`` the order core drops the ``n**2 / 8``-byte
         containment words after extracting the Hasse edges and answers
         containment queries by mask probing — the memory-lean mode of
         query-only consumers such as ``repro serve``.
@@ -141,8 +75,7 @@ class IcebergLattice:
     def __init__(
         self,
         closed: ClosedItemsetFamily,
-        strategy: str = "auto",
-        order_core: "OrderCore | None" = None,
+        order_core: OrderCore | None = None,
         workers: int | None = None,
         retain_containment: bool = True,
     ) -> None:
@@ -162,41 +95,22 @@ class IcebergLattice:
         self._masks = masks
         self._masks.setflags(write=False)
         self._universe: tuple = tuple(universe)
-        if order_core is not None:
-            if order_core.n != len(members):
-                raise InvalidParameterError(
-                    f"prebuilt order core covers {order_core.n} members, "
-                    f"family has {len(members)}"
-                )
-            self._strategy = order_core.strategy
-            self._core = order_core
-        else:
-            self._strategy = resolve_strategy(len(members), strategy)
-            reference_edges = None
-            if self._strategy == "reference":
-                edges = hasse_edges_reference(closed)
-                reference_edges = (
-                    np.array(
-                        [self._index[smaller] for smaller, _ in edges], dtype=np.int64
-                    ),
-                    np.array(
-                        [self._index[larger] for _, larger in edges], dtype=np.int64
-                    ),
-                )
-            self._core = build_order_core(
-                masks,
-                self._strategy,
-                reference_edges,
-                workers=workers,
-                retain_containment=retain_containment,
+        if order_core is None:
+            order_core = OrderCore(
+                masks, workers=workers, retain_containment=retain_containment
             )
+        elif order_core.n != len(members):
+            raise InvalidParameterError(
+                f"prebuilt order core covers {order_core.n} members, "
+                f"family has {len(members)}"
+            )
+        self._core = order_core
         self._hasse_rows, self._hasse_cols = self._core.hasse_indices()
         # The index/support arrays are handed out to the basis
         # constructions; freeze them so a consumer cannot corrupt the
         # lattice shared through a BasisContext.  (The core freezes its
         # own edge arrays.)
         self._supports.setflags(write=False)
-        self._graph_cache: nx.DiGraph | None = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -205,11 +119,6 @@ class IcebergLattice:
     def closed_family(self) -> ClosedItemsetFamily:
         """The closed itemset family the lattice was built from."""
         return self._closed
-
-    @property
-    def strategy(self) -> str:
-        """The resolved order-core strategy (``dense``/``packed``/``reference``)."""
-        return self._strategy
 
     @property
     def order_core(self) -> OrderCore:
@@ -224,23 +133,6 @@ class IcebergLattice:
     def member_index(self, itemset: Itemset) -> int | None:
         """Position of *itemset* in :attr:`members`, or ``None`` if absent."""
         return self._index.get(itemset)
-
-    def _graph(self) -> nx.DiGraph:
-        """The Hasse diagram as a DiGraph, materialised on first use."""
-        if self._graph_cache is None:
-            graph = nx.DiGraph()
-            for member, count in zip(self._members, self._supports):
-                graph.add_node(member, support_count=int(count))
-            graph.add_edges_from(
-                (self._members[row], self._members[col])
-                for row, col in zip(self._hasse_rows, self._hasse_cols)
-            )
-            self._graph_cache = graph
-        return self._graph_cache
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Return a copy of the underlying Hasse diagram as a DiGraph."""
-        return self._graph().copy()
 
     def __len__(self) -> int:
         return len(self._members)
@@ -353,7 +245,7 @@ class IcebergLattice:
         return int(self._supports[col]) / denominator if denominator else 0.0
 
     # ------------------------------------------------------------------
-    # Order structure (strategy-agnostic accessors)
+    # Order structure
     # ------------------------------------------------------------------
     def is_ancestor(self, smaller: Itemset, larger: Itemset) -> bool:
         """``True`` iff both are nodes and ``smaller ⊂ larger`` (strictly).
@@ -405,11 +297,11 @@ class IcebergLattice:
         return sorted(self._members[row] for row in self._core.predecessors(col))
 
     def immediate_successors(self, itemset: Itemset) -> list[Itemset]:
-        """Alias of :meth:`children_of` (the pre-seam accessor name)."""
+        """Alias of :meth:`children_of` (the older accessor name)."""
         return self.children_of(itemset)
 
     def immediate_predecessors(self, itemset: Itemset) -> list[Itemset]:
-        """Alias of :meth:`parents_of` (the pre-seam accessor name)."""
+        """Alias of :meth:`parents_of` (the older accessor name)."""
         return self.parents_of(itemset)
 
     def minimal_elements(self) -> list[Itemset]:
@@ -464,26 +356,20 @@ class IcebergLattice:
             path.append(self._members[current])
         return path
 
-    def is_transitive_reduction(self) -> bool:
-        """Check that the stored edges really are the Hasse diagram.
-
-        Used by tests: the graph must equal the transitive reduction of
-        the full containment order.
-        """
-        full = nx.DiGraph()
-        full.add_nodes_from(self._members)
-        full.add_edges_from(self.comparable_pairs())
-        reduction = nx.transitive_reduction(full)
-        return set(reduction.edges) == set(self._graph().edges)
-
     # ------------------------------------------------------------------
     # Shape statistics (used by reports and examples)
     # ------------------------------------------------------------------
     def height(self) -> int:
-        """Length (in edges) of the longest chain of the lattice."""
-        if not self._members:
-            return 0
-        return int(nx.dag_longest_path_length(self._graph()))
+        """Length (in edges) of the longest chain of the lattice.
+
+        Members are in canonical order, so every Hasse edge runs from a
+        lower index to a higher one and one pass over the row-major edges
+        sees each node's depth final before extending it.
+        """
+        depth = [0] * len(self._members)
+        for row, col in zip(self._hasse_rows.tolist(), self._hasse_cols.tolist()):
+            depth[col] = max(depth[col], depth[row] + 1)
+        return max(depth, default=0)
 
     def width_by_size(self) -> dict[int, int]:
         """Number of closed itemsets per cardinality (a coarse width profile)."""

@@ -64,10 +64,6 @@ class LuxenburgerBasis:
         Optional pre-built iceberg lattice of *closed*; pass one to share
         the (vectorised, but not free) lattice construction between the
         bases built from the same closed family.
-    lattice_strategy:
-        Order-core strategy used when the basis builds its own lattice
-        (ignored when ``lattice`` is given); see
-        :class:`~repro.core.lattice.IcebergLattice`.
     block_rows:
         Row-block size of the streamed column assembly.  ``None`` (the
         default) sizes the blocks from the shared working-set budget so
@@ -90,7 +86,6 @@ class LuxenburgerBasis:
         minconf: float,
         transitive_reduction: bool = True,
         lattice: IcebergLattice | None = None,
-        lattice_strategy: str = "auto",
         block_rows: int | None = None,
         workers: int | None = None,
     ) -> None:
@@ -108,7 +103,7 @@ class LuxenburgerBasis:
         self._lattice = (
             lattice
             if lattice is not None
-            else IcebergLattice(closed, strategy=lattice_strategy, workers=workers)
+            else IcebergLattice(closed, workers=workers)
         )
         # Rows are unique by construction: the antecedent is a closed
         # member's mask and the consequent union the antecedent is the
@@ -313,7 +308,6 @@ def build_luxenburger_basis(
     minconf: float,
     transitive_reduction: bool = True,
     lattice: IcebergLattice | None = None,
-    lattice_strategy: str = "auto",
     block_rows: int | None = None,
     workers: int | None = None,
 ) -> LuxenburgerBasis:
@@ -323,7 +317,6 @@ def build_luxenburger_basis(
         minconf=minconf,
         transitive_reduction=transitive_reduction,
         lattice=lattice,
-        lattice_strategy=lattice_strategy,
         block_rows=block_rows,
         workers=workers,
     )

@@ -1,117 +1,34 @@
-"""Containment order cores over a family of itemsets — the strategy seam.
+"""The containment order core over a family of itemsets.
 
 This module is the numeric core of the iceberg-lattice construction: given
 a family of itemsets it packs each member into a row of uint64 item-masks
 (the same little-endian ``np.packbits`` layout as the integer bitsets of
-:mod:`repro.engine.bitops`), computes the full strict-containment relation,
-and derives the Hasse diagram by boolean-matrix transitive reduction.
+:mod:`repro.engine.bitops`), computes the full strict-containment relation
+as a bit-packed :class:`~repro.core.bitmatrix.BitMatrix` and derives the
+Hasse diagram by its transitive reduction.
 
 The containment relation of a family of *distinct* sets is a strict
 partial order and hence already transitively closed, so the Hasse edges
 are exactly ``proper & ~(proper @ proper)`` — a pair is immediate iff no
-third member lies strictly in between.
-
-Three interchangeable **order cores** answer the order queries the
-lattice needs, each with a different memory/speed point:
-
-* :class:`DenseOrderCore` — one dense ``n x n`` bool containment matrix
-  (``n**2`` bytes) and a float32-BLAS transitive reduction; fastest
-  through ~10k nodes.
-* :class:`PackedOrderCore` — the bit-packed
-  :class:`~repro.core.bitmatrix.BitMatrix` order (``n**2 / 8`` bytes, one
-  uint64 word per 64 members) with blocked construction, popcount
-  degrees, and a gather/OR-reduce transitive reduction; breaks the dense
-  memory wall for families of 50k+ closed itemsets.
-* :class:`ReferenceOrderCore` — the pre-vectorisation per-pair builder's
-  edges plus mask-probing containment queries; ``O(n x words)`` memory,
-  kept as the oracle the other two are checked against.
-
-:func:`resolve_strategy` picks a core by family size (dense below
-:data:`DENSE_NODE_LIMIT` nodes, packed above); the
-``REPRO_LATTICE_STRATEGY`` environment variable or an explicit
-``strategy=`` argument to :class:`~repro.core.lattice.IcebergLattice`
-forces one.  All functions and cores operate on plain numpy arrays; the
-lattice wrapper attaches itemset semantics (members, supports, accessors)
-on top.
+third member lies strictly in between.  :class:`OrderCore` holds that
+relation packed ``n**2 / 8`` bytes (one uint64 word per 64 members),
+builds it with the blocked passes of :mod:`repro.core.bitmatrix` and
+answers every order query of the lattice; the lattice wrapper attaches
+itemset semantics (members, supports, accessors) on top.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 import numpy as np
 
 from ..errors import InvalidParameterError
-from .bitmatrix import _BLOCK_CELLS as _PACKED_BLOCK_CELLS
 from .bitmatrix import BitMatrix, packed_containment, packed_hasse_reduction
 from .itemset import Itemset, _sort_key
 from .parallel import get_executor
 
-__all__ = [
-    "pack_itemset_masks",
-    "containment_matrix",
-    "hasse_reduction",
-    "containment_and_hasse",
-    "resolve_strategy",
-    "build_order_core",
-    "OrderCore",
-    "DenseOrderCore",
-    "PackedOrderCore",
-    "ReferenceOrderCore",
-    "STRATEGIES",
-    "DENSE_NODE_LIMIT",
-    "STRATEGY_ENV_VAR",
-]
-
-#: Valid values for the lattice ``strategy=`` parameter.
-STRATEGIES = ("auto", "dense", "packed", "reference")
-
-#: ``auto`` switches from the dense to the packed core at this node
-#: count: below it the two dense matrices fit comfortably (~200 MB at
-#: 10k nodes) and the BLAS reduction wins on speed; above it the packed
-#: core's 16x smaller footprint matters more.
-DENSE_NODE_LIMIT = 10_000
-
-#: Environment variable that overrides the ``auto`` strategy choice
-#: process-wide (e.g. ``REPRO_LATTICE_STRATEGY=packed repro bases ...``).
-STRATEGY_ENV_VAR = "REPRO_LATTICE_STRATEGY"
-
-
-def resolve_strategy(n_nodes: int, strategy: str | None = "auto") -> str:
-    """Resolve a lattice order strategy to ``dense``/``packed``/``reference``.
-
-    ``auto`` (or ``None``) consults :data:`STRATEGY_ENV_VAR` first, then
-    falls back to the size threshold: dense below
-    :data:`DENSE_NODE_LIMIT` nodes, packed at or above it.  Explicit
-    strategies pass through unchanged; unknown names raise.
-    """
-    if strategy is None:
-        strategy = "auto"
-    if strategy not in STRATEGIES:
-        raise InvalidParameterError(
-            f"unknown lattice strategy {strategy!r}; expected one of "
-            f"{', '.join(STRATEGIES)}"
-        )
-    if strategy != "auto":
-        return strategy
-    forced = os.environ.get(STRATEGY_ENV_VAR, "").strip().lower()
-    if forced and forced != "auto":
-        if forced not in STRATEGIES:
-            raise InvalidParameterError(
-                f"invalid {STRATEGY_ENV_VAR}={forced!r}; expected one of "
-                f"{', '.join(STRATEGIES)}"
-            )
-        return forced
-    return "dense" if n_nodes < DENSE_NODE_LIMIT else "packed"
-
-
-#: Upper bound (in bools) on the temporary blocks used by the chunked
-#: containment / reduction passes, so huge families do not allocate
-#: several full n x n intermediates at once.  Shared with the packed
-#: passes of :mod:`repro.core.bitmatrix` so both constructions honour
-#: one working-set budget.
-_BLOCK_CELLS = _PACKED_BLOCK_CELLS
+__all__ = ["pack_itemset_masks", "OrderCore"]
 
 
 def pack_itemset_masks(
@@ -142,92 +59,146 @@ def pack_itemset_masks(
     return np.ascontiguousarray(packed).view(np.uint64), universe
 
 
-def containment_matrix(masks: np.ndarray) -> np.ndarray:
-    """Strict-containment matrix of a packed family of distinct itemsets.
-
-    ``result[i, j]`` is ``True`` iff row ``i`` is a proper subset of row
-    ``j``.  Rows must be pairwise distinct (guaranteed for the members of
-    an :class:`~repro.core.families.ItemsetFamily`), so subset-and-equal
-    only happens on the diagonal, which is cleared.
-    """
-    n, n_words = masks.shape
-    proper = np.empty((n, n), dtype=bool)
-    block = max(1, _BLOCK_CELLS // max(1, n))
-    for start in range(0, n, block):
-        rows = masks[start : start + block]
-        subset = np.ones((rows.shape[0], n), dtype=bool)
-        for word in range(n_words):
-            column = rows[:, word][:, None]
-            subset &= (column & masks[None, :, word]) == column
-        proper[start : start + block] = subset
-    np.fill_diagonal(proper, False)
-    return proper
-
-
-def hasse_reduction(proper: np.ndarray) -> np.ndarray:
-    """Transitive reduction of a strict partial order given as a bool matrix.
-
-    Because a containment relation is transitive, a pair ``(i, j)`` has an
-    intermediate element iff ``(proper @ proper)[i, j]`` is non-zero; the
-    Hasse diagram keeps exactly the pairs without one.  The products run
-    in float32 so they are dispatched to BLAS, but the cast happens block
-    by block on both operands — only ``O(block * n)`` float temporaries
-    ever exist, never a dense float copy of the whole matrix.
-    """
-    n = proper.shape[0]
-    if n == 0:
-        return proper.copy()
-    hasse = np.empty_like(proper)
-    block = max(1, _BLOCK_CELLS // max(1, n))
-    for start in range(0, n, block):
-        rows = proper[start : start + block]
-        two_step = np.zeros(rows.shape, dtype=np.float32)
-        for mid in range(0, n, block):
-            two_step += rows[:, mid : mid + block].astype(np.float32) @ proper[
-                mid : mid + block
-            ].astype(np.float32)
-        hasse[start : start + block] = rows & ~(two_step > 0.5)
-    return hasse
-
-
-def containment_and_hasse(
-    itemsets: Sequence[Itemset],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper: pack, order and reduce a family in one call."""
-    masks, _ = pack_itemset_masks(itemsets)
-    proper = containment_matrix(masks)
-    return proper, hasse_reduction(proper)
-
-
 class OrderCore:
-    """Strategy-agnostic order queries over an indexed family.
+    """Strict containment order of an indexed family, bit-packed.
 
-    Every core answers the same questions about the strict containment
-    order of ``n`` family members (identified by their canonical index):
-    the Hasse edge arrays, immediate successors/predecessors, degree
-    vectors, full-order rows and single-pair ancestry tests.  The base
-    class serves everything derivable from the edge index arrays alone
-    (CSR-style adjacency, degrees); subclasses own the containment
-    representation and the construction pass.
+    Answers the order queries the lattice needs about ``n`` family
+    members (identified by their canonical index): the Hasse edge
+    arrays, immediate successors/predecessors, degree vectors, full-order
+    rows and single-pair ancestry tests.
 
-    Edge arrays are sorted row-major (by ``(smaller, larger)`` index) and
-    frozen, so every strategy hands out byte-identical edge arrays for
-    the same family.
+    Peak memory is two packed matrices of ``n**2 / 8`` bytes (containment
+    and, transiently, the reduction) plus bounded unpack/gather blocks,
+    which is what lets 50k+-node families load at all.  The packed Hasse
+    matrix is dropped after the edge arrays are extracted; containment
+    queries pop words out of the retained packed order.  Edge arrays are
+    sorted row-major (by ``(smaller, larger)`` index) and frozen.
+
+    ``workers`` shards the two construction passes across the kernel
+    executor of :mod:`repro.core.parallel` (``None`` = serial unless the
+    ``REPRO_NUM_WORKERS`` environment variable says otherwise); the
+    built core is byte-identical for any worker count.
+
+    ``retain_containment=False`` is the CSR-only edge-store mode for
+    query-only consumers (the ``repro serve`` warm start): the packed
+    containment words are dropped once the Hasse edges are extracted,
+    cutting steady-state memory from ``n**2 / 8`` bytes to the
+    ``O(n x words)`` member masks plus the edge arrays.  Containment
+    queries then re-probe the masks (one masked compare per ancestry
+    test, one vectorised family pass per full-order row) and
+    :meth:`packed_containment_matrix` recomputes the relation on demand.
     """
 
-    #: Resolved strategy name, set by each subclass.
-    strategy: str
+    def __init__(
+        self,
+        masks: np.ndarray,
+        workers: int | None = None,
+        retain_containment: bool = True,
+    ) -> None:
+        executor = get_executor(workers)
+        masks = np.ascontiguousarray(masks, dtype=np.uint64)
+        proper = packed_containment(masks, executor=executor)
+        rows, cols = packed_hasse_reduction(proper, executor=executor).nonzero()
+        self._adopt(
+            rows, cols, proper.n_rows, proper if retain_containment else None, masks
+        )
 
-    def __init__(self, hasse_rows: np.ndarray, hasse_cols: np.ndarray, n: int) -> None:
+    def _adopt(
+        self,
+        hasse_rows: np.ndarray,
+        hasse_cols: np.ndarray,
+        n: int,
+        proper: BitMatrix | None,
+        masks: np.ndarray | None,
+    ) -> None:
         hasse_rows = np.asarray(hasse_rows, dtype=np.int64)
         hasse_cols = np.asarray(hasse_cols, dtype=np.int64)
         order = np.lexsort((hasse_cols, hasse_rows))
         self._rows = hasse_rows[order]
         self._cols = hasse_cols[order]
         self._n = int(n)
-        for array in (self._rows, self._cols):
-            array.setflags(write=False)
+        self._proper = proper
+        self._masks = masks
+        for array in (self._rows, self._cols, masks):
+            if array is not None:
+                array.setflags(write=False)
+        if proper is not None:
+            proper.words.setflags(write=False)
         self._col_sorted: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def _rehydrate(
+        cls,
+        hasse_rows: np.ndarray,
+        hasse_cols: np.ndarray,
+        n: int,
+        proper: BitMatrix | None = None,
+        masks: np.ndarray | None = None,
+    ) -> "OrderCore":
+        """Adopt computed parts after checking the edges index the order.
+
+        Members are in canonical (size, lexicographic) order, so every
+        proper subset precedes its supersets and a valid Hasse edge
+        always satisfies ``0 <= smaller < larger < n``.
+        """
+        hasse_rows = np.asarray(hasse_rows)
+        hasse_cols = np.asarray(hasse_cols)
+        if hasse_rows.ndim != 1 or hasse_rows.shape != hasse_cols.shape:
+            raise InvalidParameterError(
+                f"Hasse edge arrays must be two equal-length vectors, got "
+                f"shapes {hasse_rows.shape} and {hasse_cols.shape}"
+            )
+        if hasse_rows.size and not (
+            hasse_rows.min() >= 0
+            and hasse_cols.max() < n
+            and bool(np.all(hasse_rows < hasse_cols))
+        ):
+            raise InvalidParameterError(
+                f"Hasse edges must satisfy 0 <= smaller < larger < {n}"
+            )
+        core = cls.__new__(cls)
+        core._adopt(hasse_rows, hasse_cols, n, proper, masks)
+        return core
+
+    @classmethod
+    def from_parts(
+        cls,
+        proper: BitMatrix,
+        hasse_rows: np.ndarray,
+        hasse_cols: np.ndarray,
+    ) -> "OrderCore":
+        """Rehydrate a core from already computed parts.
+
+        The load path of :mod:`repro.store`: the stored packed
+        containment words and Hasse edge index arrays are adopted as-is,
+        skipping both construction passes (the whole point of persisting
+        a mined lattice).  *proper* must be square and the edges must
+        index into it (both checked); deeper consistency (that the edges
+        really are the transitive reduction of *proper*) is the saver's
+        contract.
+        """
+        if proper.n_cols != proper.n_rows:
+            raise InvalidParameterError(
+                f"containment relation must be square, got {proper.shape}"
+            )
+        return cls._rehydrate(hasse_rows, hasse_cols, proper.n_rows, proper=proper)
+
+    @classmethod
+    def from_edges(
+        cls,
+        masks: np.ndarray,
+        hasse_rows: np.ndarray,
+        hasse_cols: np.ndarray,
+    ) -> "OrderCore":
+        """Rehydrate a CSR-only core: Hasse edges plus member masks.
+
+        The ``retain_containment=False`` counterpart of
+        :meth:`from_parts`, used by the store's memory-lean load mode:
+        no packed ``n**2 / 8``-byte relation is adopted (or even read);
+        containment queries probe the ``O(n x words)`` masks instead.
+        """
+        masks = np.ascontiguousarray(masks, dtype=np.uint64)
+        return cls._rehydrate(hasse_rows, hasse_cols, masks.shape[0], masks=masks)
 
     @property
     def n(self) -> int:
@@ -238,6 +209,11 @@ class OrderCore:
     def n_edges(self) -> int:
         """Number of Hasse edges."""
         return int(len(self._rows))
+
+    @property
+    def retains_containment(self) -> bool:
+        """``True`` when the packed ``n x n`` relation is held in memory."""
+        return self._proper is not None
 
     def hasse_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Hasse edges as ``(smaller, larger)`` index arrays, row-major."""
@@ -268,170 +244,8 @@ class OrderCore:
         """Immediate-successor count per member."""
         return np.bincount(self._rows, minlength=self._n)
 
-    # -- containment queries, owned by each representation ---------------
     def is_ancestor(self, smaller: int, larger: int) -> bool:
         """``True`` iff member *smaller* is a proper subset of *larger*."""
-        raise NotImplementedError
-
-    def order_row(self, index: int) -> np.ndarray:
-        """Indices of every member strictly containing member *index*."""
-        raise NotImplementedError
-
-    def containment_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every comparable pair as ``(smaller, larger)`` index arrays."""
-        raise NotImplementedError
-
-    def packed_containment_matrix(self):
-        """The strict-containment relation as a packed :class:`BitMatrix`.
-
-        The representation-independent export format of the order core
-        (what :mod:`repro.store` persists): ``n**2 / 8`` bytes whatever
-        strategy built the core.  The packed core hands out its retained
-        matrix; the dense core packs its bool matrix; the reference core
-        recomputes containment from the member masks.
-        """
-        raise NotImplementedError
-
-
-class DenseOrderCore(OrderCore):
-    """Order core over one dense ``n x n`` bool containment matrix.
-
-    The fastest core through ~:data:`DENSE_NODE_LIMIT` nodes: bulk
-    AND/compare containment and a float32-BLAS transitive reduction.  The
-    Hasse matrix itself is dropped once the edge arrays are extracted, so
-    steady-state memory is one ``n**2`` bool matrix, not two.
-    """
-
-    strategy = "dense"
-
-    def __init__(self, masks: np.ndarray) -> None:
-        self._proper = containment_matrix(masks)
-        hasse = hasse_reduction(self._proper)
-        rows, cols = np.nonzero(hasse)
-        super().__init__(rows, cols, self._proper.shape[0])
-        self._proper.setflags(write=False)
-
-    def is_ancestor(self, smaller: int, larger: int) -> bool:
-        return bool(self._proper[smaller, larger])
-
-    def order_row(self, index: int) -> np.ndarray:
-        return np.nonzero(self._proper[index])[0]
-
-    def containment_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self._proper)
-
-    def packed_containment_matrix(self) -> BitMatrix:
-        return BitMatrix.from_dense(self._proper)
-
-
-class PackedOrderCore(OrderCore):
-    """Order core over a bit-packed containment matrix.
-
-    Peak memory is two packed matrices of ``n**2 / 8`` bytes (containment
-    and, transiently, the reduction) plus bounded unpack/gather blocks —
-    a 16x reduction against the two dense matrices, which is what lets
-    50k+-node families load at all.  The packed Hasse matrix is dropped
-    after the edge arrays are extracted; containment queries pop words
-    out of the retained packed order.
-
-    ``workers`` shards the two construction passes across the kernel
-    executor of :mod:`repro.core.parallel` (``None`` = serial unless the
-    ``REPRO_NUM_WORKERS`` environment variable says otherwise); the
-    built core is byte-identical for any worker count.
-
-    ``retain_containment=False`` is the CSR-only edge-store mode for
-    query-only consumers (the ``repro serve`` warm start): the packed
-    containment words are dropped once the Hasse edges are extracted,
-    cutting steady-state memory from ``n**2 / 8`` bytes to the
-    ``O(n x words)`` member masks plus the edge arrays.  Containment
-    queries then re-probe the masks (the
-    :class:`ReferenceOrderCore` pattern: one masked compare per
-    ancestry test, one vectorised family pass per full-order row) and
-    :meth:`packed_containment_matrix` recomputes the relation on demand.
-    """
-
-    strategy = "packed"
-
-    def __init__(
-        self,
-        masks: np.ndarray,
-        workers: int | None = None,
-        retain_containment: bool = True,
-    ) -> None:
-        executor = get_executor(workers)
-        self._masks = np.ascontiguousarray(masks, dtype=np.uint64)
-        self._masks.setflags(write=False)
-        proper = packed_containment(self._masks, executor=executor)
-        hasse = packed_hasse_reduction(proper, executor=executor)
-        rows, cols = hasse.nonzero()
-        super().__init__(rows, cols, proper.n_rows)
-        if retain_containment:
-            proper.words.setflags(write=False)
-            self._proper: BitMatrix | None = proper
-        else:
-            self._proper = None
-
-    @classmethod
-    def from_parts(
-        cls,
-        proper: BitMatrix,
-        hasse_rows: np.ndarray,
-        hasse_cols: np.ndarray,
-    ) -> "PackedOrderCore":
-        """Rehydrate a packed core from already computed parts.
-
-        The load path of :mod:`repro.store`: the stored packed
-        containment words and Hasse edge index arrays are adopted as-is,
-        skipping both construction passes (the whole point of persisting
-        a mined lattice).  *proper* must be square and the edges must
-        index into it; deeper consistency (that the edges really are the
-        transitive reduction of *proper*) is the saver's contract.
-        """
-        if proper.n_cols != proper.n_rows:
-            raise InvalidParameterError(
-                f"containment relation must be square, got {proper.shape}"
-            )
-        core = cls.__new__(cls)
-        core._proper = proper
-        core._masks = None
-        OrderCore.__init__(core, hasse_rows, hasse_cols, proper.n_rows)
-        proper.words.setflags(write=False)
-        return core
-
-    @classmethod
-    def from_edges(
-        cls,
-        masks: np.ndarray,
-        hasse_rows: np.ndarray,
-        hasse_cols: np.ndarray,
-    ) -> "PackedOrderCore":
-        """Rehydrate a CSR-only core: Hasse edges plus member masks.
-
-        The ``retain_containment=False`` counterpart of
-        :meth:`from_parts`, used by the store's memory-lean load mode:
-        no packed ``n**2 / 8``-byte relation is adopted (or even read);
-        containment queries probe the ``O(n x words)`` masks instead.
-        """
-        masks = np.ascontiguousarray(masks, dtype=np.uint64)
-        core = cls.__new__(cls)
-        core._proper = None
-        core._masks = masks
-        core._masks.setflags(write=False)
-        OrderCore.__init__(core, hasse_rows, hasse_cols, masks.shape[0])
-        return core
-
-    @property
-    def retains_containment(self) -> bool:
-        """``True`` when the packed ``n x n`` relation is held in memory."""
-        return self._proper is not None
-
-    def _mask_order_row(self, index: int) -> np.ndarray:
-        row = self._masks[index]
-        subset = np.all((row[None, :] & self._masks) == row[None, :], axis=1)
-        subset[index] = False
-        return np.nonzero(subset)[0]
-
-    def is_ancestor(self, smaller: int, larger: int) -> bool:
         if self._proper is not None:
             return self._proper.get(smaller, larger)
         if smaller == larger:
@@ -440,96 +254,24 @@ class PackedOrderCore(OrderCore):
         return bool(np.all((small & self._masks[larger]) == small))
 
     def order_row(self, index: int) -> np.ndarray:
+        """Indices of every member strictly containing member *index*."""
         if self._proper is not None:
             return self._proper.row_indices(index)
-        return self._mask_order_row(index)
-
-    def containment_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.packed_containment_matrix().nonzero()
-
-    def packed_containment_matrix(self) -> BitMatrix:
-        if self._proper is not None:
-            return self._proper
-        return packed_containment(self._masks)
-
-
-class ReferenceOrderCore(OrderCore):
-    """Order core around externally supplied (oracle) Hasse edges.
-
-    Stores only the packed item-masks (``O(n x words)`` — no pair matrix
-    of any kind), so containment queries re-probe the masks: a single
-    ancestry test is one masked compare over the word row, a full-order
-    row one vectorised pass over the family.  Used by the ``reference``
-    strategy, whose edges come from the per-pair
-    :func:`~repro.core.lattice.hasse_edges_reference` builder.
-    """
-
-    strategy = "reference"
-
-    def __init__(
-        self, masks: np.ndarray, hasse_rows: np.ndarray, hasse_cols: np.ndarray
-    ) -> None:
-        self._masks = np.ascontiguousarray(masks, dtype=np.uint64)
-        super().__init__(hasse_rows, hasse_cols, self._masks.shape[0])
-
-    def is_ancestor(self, smaller: int, larger: int) -> bool:
-        if smaller == larger:
-            return False
-        small = self._masks[smaller]
-        return bool(np.all((small & self._masks[larger]) == small))
-
-    def order_row(self, index: int) -> np.ndarray:
         row = self._masks[index]
         subset = np.all((row[None, :] & self._masks) == row[None, :], axis=1)
         subset[index] = False
         return np.nonzero(subset)[0]
 
     def containment_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        for index in range(self._n):
-            cols = self.order_row(index)
-            if cols.size:
-                rows_parts.append(np.full(cols.size, index, dtype=np.int64))
-                cols_parts.append(cols.astype(np.int64, copy=False))
-        if not rows_parts:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy()
-        return np.concatenate(rows_parts), np.concatenate(cols_parts)
+        """Every comparable pair as ``(smaller, larger)`` index arrays."""
+        return self.packed_containment_matrix().nonzero()
 
     def packed_containment_matrix(self) -> BitMatrix:
+        """The strict-containment relation as a packed :class:`BitMatrix`.
+
+        What :mod:`repro.store` persists: the retained matrix, or the
+        relation recomputed from the member masks by a CSR-only core.
+        """
+        if self._proper is not None:
+            return self._proper
         return packed_containment(self._masks)
-
-
-def build_order_core(
-    masks: np.ndarray,
-    strategy: str,
-    reference_edges: tuple[np.ndarray, np.ndarray] | None = None,
-    workers: int | None = None,
-    retain_containment: bool = True,
-) -> OrderCore:
-    """Construct the order core for an already *resolved* strategy.
-
-    ``reference_edges`` supplies the oracle Hasse edge index arrays and is
-    required (and only meaningful) for the ``reference`` strategy.
-    ``workers`` shards the packed construction passes (the dense core's
-    BLAS product and the reference oracle stay serial); the edges and
-    matrices built are byte-identical for any worker count.
-    ``retain_containment`` only affects the packed core (see
-    :class:`PackedOrderCore`).
-    """
-    if strategy == "dense":
-        return DenseOrderCore(masks)
-    if strategy == "packed":
-        return PackedOrderCore(
-            masks, workers=workers, retain_containment=retain_containment
-        )
-    if strategy == "reference":
-        if reference_edges is None:
-            raise InvalidParameterError(
-                "the reference strategy needs precomputed oracle edges"
-            )
-        return ReferenceOrderCore(masks, *reference_edges)
-    raise InvalidParameterError(
-        f"unresolved lattice strategy {strategy!r}; call resolve_strategy first"
-    )

@@ -2,10 +2,10 @@
 
 Every hot loop of the library — the blocked subset pass of
 :func:`~repro.core.bitmatrix.packed_containment`, the gather/OR-reduce
-transitive reduction, the batch-closure matmul of the numpy engine, the
-streamed CSR rule emitters — is a sequence of *independent* block
+transitive reduction, the batch-closure AND-reduce of the numpy engine,
+the streamed CSR rule emitters — is a sequence of *independent* block
 computations over numpy arrays.  The inner ``np.bitwise_count`` /
-``np.packbits`` / BLAS calls release the GIL, so plain threads already
+``np.packbits`` / ufunc-reduce calls release the GIL, so plain threads already
 scale them across cores; this module provides the one seam those kernels
 share:
 

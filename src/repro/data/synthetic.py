@@ -226,12 +226,11 @@ def make_star_closed_family(
     other), and one top set containing the whole universe.  Its Hasse
     diagram is therefore exactly bottom → each middle → top, i.e.
     ``2 * (n_members - 2)`` edges — which makes the generator the right
-    probe for the large-``n`` lattice order cores: arbitrarily many
+    probe for the large-``n`` lattice order core: arbitrarily many
     closed itemsets with a structure a test can assert edge-for-edge,
     without mining a context of that size first.
 
-    Used by the packed-strategy acceptance test (50k+ nodes must load
-    without a dense ``n x n`` matrix) and by the
+    Used by the 50k-node lattice acceptance test and by the
     ``test_engine_lattice_packed_large`` microbenchmark.
     """
     from ..core.families import ClosedItemsetFamily

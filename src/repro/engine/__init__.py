@@ -14,9 +14,10 @@ evaluations behind one abstraction:
   sequence of candidate itemsets, plus the single-itemset convenience
   wrappers and a shared LRU closure cache keyed on canonical itemsets.
 * :class:`~repro.engine.numpy_engine.NumpyClosureEngine` (``"numpy"``) —
-  dense backend; evaluates a whole candidate level with two float32 matrix
-  products (candidates × objects cover matrix, then candidates × items
-  closure matrix), chunked to bound memory.  The default, and by far the
+  packed-word backend; evaluates a whole candidate level with two bulk
+  AND-reductions over uint64 words (the covers, from the per-item object
+  rows; then the closures, from the per-object item rows of each
+  distinct cover), chunked to bound memory.  The default, and by far the
   fastest on the dense correlated contexts of the paper's figures.
 * :class:`~repro.engine.bitset_engine.BitsetClosureEngine` (``"bitset"``)
   — vertical backend; owns the per-item tidset bitsets (arbitrary

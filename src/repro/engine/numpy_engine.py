@@ -1,8 +1,9 @@
 """Dense vectorised closure engine backed by numpy word-packed reductions.
 
-The engine stores each item's cover as a row of ``uint64`` words (one bit
-per object) and evaluates a whole batch of candidates in four vectorised
-steps:
+The engine holds the context bit-packed into ``uint64`` words twice over:
+each item's cover as a row of object bits, and (built on the first
+closure) each object's itemset as a row of item bits.  A whole batch of
+candidates is evaluated in four vectorised steps:
 
 1. **covers** — the candidates' item rows are gathered into one padded
    index array and AND-reduced in bulk (``np.bitwise_and.reduce``), giving
@@ -11,20 +12,19 @@ steps:
 3. **cover deduplication** — distinct cover rows are identified with a
    byte-key dict; on the correlated contexts of the paper a
    10 000-candidate level collapses onto a few thousand distinct covers,
-   so the expensive closure step only runs on the unique rows;
-4. **closures** — item ``i`` belongs to ``h(X)`` iff no covering object
-   misses it, which for the unique unpacked cover matrix ``U`` is a single
-   matrix product: ``H = (U · ¬M) == 0`` (unique covers × items).  Each
+   so the closure step only runs on the unique rows;
+4. **closures** — ``h(X)`` is, as the paper defines it, the set of items
+   shared by every object of the cover ``g(X)``: the AND of the packed
+   item rows of the cover's objects.  The object rows of every distinct
+   cover are gathered in one pass and closed by one
+   ``np.bitwise_and.reduceat`` over the per-cover segments.  Each
    distinct closure row is decoded into an :class:`Itemset` exactly once
    and fanned back out through the inverse index.
 
-A candidate with an empty cover has an all-zero cover row, so its ``H``
-row is all ones — the full item universe, exactly the FCA convention of
-:meth:`TransactionDatabase.closure`.  float32 accumulators are exact for
-the integer counts involved (bounded by ``|O|``, far below the 2²⁴
-float32 integer range).  Batches of a handful of candidates skip the
-dedup machinery and decode directly, keeping the single-itemset wrappers
-as cheap as the pre-engine code path.
+A candidate with an empty cover has no segment; its closure is the full
+item universe — exactly the FCA convention of
+:meth:`TransactionDatabase.closure`.  Every step is integer word
+arithmetic; no float operand or matrix product is involved.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.bitmatrix import _pack_rows
 from ..core.itemset import Itemset
-from ..core.parallel import get_executor, shard_spans
+from ..core.parallel import KernelExecutor, get_executor, shard_spans
 from .base import DEFAULT_CACHE_SIZE, ClosureEngine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,15 +47,26 @@ __all__ = ["NumpyClosureEngine"]
 #: Cap on the number of uint64 words materialised by one gather chunk.
 _CHUNK_WORDS = 1 << 24
 
-#: Batches up to this size bypass cover dedup and decode row by row.
-_SMALL_BATCH = 4
+
+def _gather_spans(
+    n_rows: int, words_per_row: int, executor: KernelExecutor
+) -> list[tuple[int, int]]:
+    """Row spans whose gathers stay under :data:`_CHUNK_WORDS`.
+
+    A multi-worker executor also gets a few spans per worker, without
+    growing any span past the working-set cap.
+    """
+    chunk = max(1, _CHUNK_WORDS // max(1, words_per_row))
+    if not executor.is_serial:
+        chunk = min(chunk, executor.shard_size(n_rows))
+    return shard_spans(n_rows, chunk)
 
 
 class NumpyClosureEngine(ClosureEngine):
     """Vectorised dense engine (the default for the level-wise miners).
 
-    ``workers`` shards the batched cover gather and the closure matmul
-    over candidate rows through the kernel executor of
+    ``workers`` shards the batched cover gather and the closure
+    AND-reduce over candidate rows through the kernel executor of
     :mod:`repro.core.parallel` (``None`` = the ``REPRO_NUM_WORKERS``
     environment variable, else serial).  Row shards write disjoint
     output slices and each row's reduction is independent, so results
@@ -73,9 +85,11 @@ class NumpyClosureEngine(ClosureEngine):
         self._workers = workers
         matrix = database.matrix
         self._matrix = matrix
-        # The float32 ¬M operand of the closure matmul is built lazily: a
-        # support-only workload (Apriori counting) never pays for it.
-        self._not_m_cache: np.ndarray | None = None
+        # The per-object item rows of the closure step are packed lazily:
+        # a support-only workload (Apriori counting) never pays for them.
+        # They are stored transposed (item words × objects) so the gather
+        # and the segmented AND-reduce run along contiguous memory.
+        self._object_words_cache: np.ndarray | None = None
         n_objects, n_items = matrix.shape
         self._n_objects = n_objects
         # Per-item covers packed into uint64 words, one row per item.
@@ -93,10 +107,10 @@ class NumpyClosureEngine(ClosureEngine):
         self._n_words = n_words
 
     @property
-    def _not_m(self) -> np.ndarray:
-        if self._not_m_cache is None:
-            self._not_m_cache = (~self._matrix).astype(np.float32)
-        return self._not_m_cache
+    def _object_words(self) -> np.ndarray:
+        if self._object_words_cache is None:
+            self._object_words_cache = np.ascontiguousarray(_pack_rows(self._matrix).T)
+        return self._object_words_cache
 
     def extended(self, database: "TransactionDatabase") -> "NumpyClosureEngine":
         """Warm-start an engine for *database*, an appended extension.
@@ -112,7 +126,7 @@ class NumpyClosureEngine(ClosureEngine):
         clone._workers = self._workers
         matrix = database.matrix
         clone._matrix = matrix
-        clone._not_m_cache = None
+        clone._object_words_cache = None
         n_objects, n_items = matrix.shape
         n_old = self._n_objects
         if n_objects < n_old:
@@ -170,22 +184,56 @@ class NumpyClosureEngine(ClosureEngine):
             else:
                 empty_rows.append(row)
                 index[row] = 0
-        chunk = max(1, _CHUNK_WORDS // max(1, self._n_words * width))
         executor = get_executor(self._workers)
-        if not executor.is_serial and m > chunk:
-            # Spread the gather chunks over the workers without growing
-            # any single chunk past the working-set cap.
-            chunk = max(1, min(chunk, executor.shard_size(m)))
 
         def gather(span: tuple[int, int]) -> None:
             start, stop = span
             gathered = self._item_words[index[start:stop]]
             out[start:stop] = np.bitwise_and.reduce(gathered, axis=1)
 
-        executor.map(gather, shard_spans(m, chunk))
+        executor.map(gather, _gather_spans(m, self._n_words * width, executor))
         if empty_rows:
             out[empty_rows] = self._full_words
         return out
+
+    def _close_covers(self, cover_words: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """``h`` of each packed cover row, as a 0/1 (rows × items) matrix.
+
+        Row ``r`` ANDs the item rows of the ``sizes[r]`` objects of cover
+        ``r``; a cover without objects closes to the full item universe.
+        Rows are closed span by span, each span's gathered object rows
+        bounded by the working-set cap, and every row's reduction is
+        independent, so sharding the spans over the workers is
+        byte-identical to one pass.
+        """
+        object_words = self._object_words
+        closed = np.zeros((len(cover_words), object_words.shape[0]), dtype=np.uint64)
+        executor = get_executor(self._workers)
+
+        def close_rows(span: tuple[int, int]) -> None:
+            start, stop = span
+            counts = sizes[start:stop]
+            filled = np.flatnonzero(counts)
+            if not filled.size:
+                return
+            bits = np.unpackbits(
+                cover_words[start:stop].view(np.uint8), axis=1, bitorder="little"
+            )
+            objects = np.flatnonzero(bits.view(bool)) % bits.shape[1]
+            segments = np.cumsum(counts[filled]) - counts[filled]
+            closed[start + filled] = np.bitwise_and.reduceat(
+                object_words.take(objects, axis=1), segments, axis=1
+            ).T
+
+        # Per row: the unpacked cover bytes plus the gathered object rows.
+        words_per_row = 8 * cover_words.shape[1] + object_words.shape[0] * int(
+            sizes.max(initial=0)
+        )
+        executor.map(close_rows, _gather_spans(len(closed), words_per_row, executor))
+        bits = np.unpackbits(closed.view(np.uint8), axis=1, bitorder="little")
+        bits = bits[:, : self._matrix.shape[1]]
+        bits[sizes == 0] = 1
+        return bits
 
     def _unpack_covers(self, cover_words: np.ndarray) -> np.ndarray:
         """Unpack packed cover rows into a boolean (rows × objects) matrix."""
@@ -206,7 +254,7 @@ class NumpyClosureEngine(ClosureEngine):
     # ------------------------------------------------------------------
     def _decode_items(self, mask: np.ndarray) -> Itemset:
         items = self._items
-        return Itemset(items[i] for i in np.flatnonzero(mask))
+        return Itemset([items[i] for i in np.flatnonzero(mask).tolist()])
 
     # ------------------------------------------------------------------
     # Backend contract
@@ -217,17 +265,7 @@ class NumpyClosureEngine(ClosureEngine):
         if not itemsets:
             return []
         cover_words = self._cover_words([self._columns(c) for c in itemsets])
-        supports = np.bitwise_count(cover_words).sum(axis=1)
-        if len(itemsets) <= _SMALL_BATCH:
-            covers = self._unpack_covers(cover_words)
-            results: list[tuple[Itemset, int]] = []
-            for r in range(len(itemsets)):
-                if supports[r] == 0:
-                    closure = self._db.item_universe
-                else:
-                    closure = self._decode_items(self._matrix[covers[r]].all(axis=0))
-                results.append((closure, int(supports[r])))
-            return results
+        supports = np.bitwise_count(cover_words).sum(axis=1, dtype=np.intp)
         # Dedup the covers: each distinct cover is closed and decoded once.
         seen: dict[bytes, int] = {}
         inverse = np.empty(len(itemsets), dtype=np.intp)
@@ -240,23 +278,7 @@ class NumpyClosureEngine(ClosureEngine):
                 seen[key] = position
                 unique_rows.append(r)
             inverse[r] = position
-        unique_f = self._unpack_covers(cover_words[unique_rows]).astype(np.float32)
-        # One matrix product closes every distinct cover of the batch; an
-        # all-zero cover row yields an all-ones closure row = the universe.
-        # Each output row is an independent dot-product reduction, so
-        # sharding over candidate rows is byte-identical to one product.
-        executor = get_executor(self._workers)
-        not_m = self._not_m
-        closed = np.empty((unique_f.shape[0], not_m.shape[1]), dtype=bool)
-
-        def close_rows(span: tuple[int, int]) -> None:
-            start, stop = span
-            closed[start:stop] = (unique_f[start:stop] @ not_m) == 0.0
-
-        executor.map(
-            close_rows,
-            shard_spans(unique_f.shape[0], executor.shard_size(unique_f.shape[0])),
-        )
+        closed = self._close_covers(cover_words[unique_rows], supports[unique_rows])
         distinct = [self._decode_items(row) for row in closed]
         return [
             (distinct[inverse[r]], int(supports[r])) for r in range(len(itemsets))

@@ -42,7 +42,6 @@ from collections.abc import Sequence
 
 from ..algorithms.close import Close
 from ..bases import DEFAULT_BASES, available_bases, get_basis, resolve_basis_names
-from ..core.order import STRATEGIES
 from ..data.io import load_basket_file
 from ..engine import ENGINES
 from ..errors import InvalidParameterError, ReproError
@@ -193,14 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default: {','.join(DEFAULT_BASES)}; see `list-bases`)",
     )
     bases.add_argument(
-        "--lattice-strategy",
-        choices=list(STRATEGIES),
-        default="auto",
-        help="iceberg-lattice order core: auto picks dense below "
-        "~10k closed itemsets and bit-packed above; reference is the "
-        "per-pair oracle builder (default: auto)",
-    )
-    bases.add_argument(
         "--block-rows",
         type=int,
         default=None,
@@ -255,12 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME,NAME",
         help="comma-separated registered bases whose rule columns to store "
         f"(default: {','.join(DEFAULT_BASES)})",
-    )
-    save.add_argument(
-        "--lattice-strategy",
-        choices=list(STRATEGIES),
-        default="auto",
-        help="order core of the stored lattice (default: auto)",
     )
     save.add_argument(
         "--no-context",
@@ -557,7 +542,6 @@ def _command_bases(args: argparse.Namespace) -> int:
             stored,
             minconf=args.minconf,
             bases=selection,
-            lattice_strategy=args.lattice_strategy,
             block_rows=args.block_rows,
             workers=args.workers,
         )
@@ -572,7 +556,6 @@ def _command_bases(args: argparse.Namespace) -> int:
             mining,
             minconf=args.minconf if args.minconf is not None else 0.7,
             bases=selection,
-            lattice_strategy=args.lattice_strategy,
             block_rows=args.block_rows,
             workers=args.workers,
         )
@@ -632,12 +615,7 @@ def _command_save(args: argparse.Namespace) -> int:
     database = load_basket_file(args.dataset)
     mining = mine_itemsets(database, args.minsup, engine=args.engine)
     selection = resolve_basis_names(args.bases)
-    artifacts = build_rule_artifacts(
-        mining,
-        minconf=args.minconf,
-        bases=selection,
-        lattice_strategy=args.lattice_strategy,
-    )
+    artifacts = build_rule_artifacts(mining, minconf=args.minconf, bases=selection)
     path = save_artifacts(
         args.out, mining, artifacts, include_context=not args.no_context
     )
@@ -677,8 +655,7 @@ def _command_load(args: argparse.Namespace) -> int:
     if run.lattice is not None:
         print(
             f"  lattice: {len(run.lattice)} nodes, "
-            f"{run.lattice.edge_count()} edges "
-            f"(stored strategy: {manifest['order']['strategy']})"
+            f"{run.lattice.edge_count()} edges"
         )
     for name, arrays in run.rule_arrays.items():
         kind = run.basis_kinds.get(name, "?")

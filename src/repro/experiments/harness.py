@@ -84,7 +84,6 @@ class ItemsetMiningResult:
     def basis_context(
         self,
         minconf: float,
-        lattice_strategy: str = "auto",
         block_rows: int | None = None,
         workers: int | None = None,
     ) -> BasisContext:
@@ -92,9 +91,7 @@ class ItemsetMiningResult:
 
         The generator family is attached lazily so selections without a
         generator-backed basis never build or validate it.
-        ``lattice_strategy`` forces the order core of the shared iceberg
-        lattice (``auto`` picks dense below ~10k closed itemsets, packed
-        above); ``block_rows`` forces the row-block size of the streamed
+        ``block_rows`` forces the row-block size of the streamed
         rule-column assembly (``None`` = auto-sized blocks); ``workers``
         shards the lattice and rule-emission kernels (``None`` = the
         ``REPRO_NUM_WORKERS`` environment variable, else serial).
@@ -104,7 +101,6 @@ class ItemsetMiningResult:
             minconf=minconf,
             frequent=self.frequent,
             generators_factory=lambda: self.generator_family,
-            lattice_strategy=lattice_strategy,
             block_rows=block_rows,
             workers=workers,
         )
@@ -256,7 +252,6 @@ def build_rule_artifacts(
     mining: ItemsetMiningResult,
     minconf: float,
     bases: str | tuple[str, ...] | list[str] | None = None,
-    lattice_strategy: str = "auto",
     block_rows: int | None = None,
     workers: int | None = None,
 ) -> RuleArtifacts:
@@ -265,21 +260,14 @@ def build_rule_artifacts(
     ``bases`` names the registered bases to build (a comma-separated
     string or a sequence; ``None`` selects the paper's four classic
     artefacts).  All selected bases share one :class:`BasisContext`, and
-    therefore one vectorised iceberg-lattice construction;
-    ``lattice_strategy`` forces its order core (``dense``, ``packed`` or
-    ``reference`` — ``auto`` switches dense → packed at ~10k closed
-    itemsets) and ``block_rows`` the row-block size of the streamed rule
+    therefore one vectorised iceberg-lattice construction.
+    ``block_rows`` forces the row-block size of the streamed rule
     expansion (``None`` = auto-sized blocks; purely a peak-memory knob,
     the built rules are byte-identical either way).  ``workers`` shards
     the lattice construction and the streamed rule emitters across
     threads; the built bases are byte-identical for any worker count.
     """
-    context = mining.basis_context(
-        minconf,
-        lattice_strategy=lattice_strategy,
-        block_rows=block_rows,
-        workers=workers,
-    )
+    context = mining.basis_context(minconf, block_rows=block_rows, workers=workers)
     return RuleArtifacts(
         database_name=mining.database.name,
         minsup=mining.minsup,
@@ -343,7 +331,6 @@ def build_rule_artifacts_from_store(
     stored,
     minconf: float | None = None,
     bases: str | tuple[str, ...] | list[str] | None = None,
-    lattice_strategy: str = "auto",
     block_rows: int | None = None,
     workers: int | None = None,
 ) -> RuleArtifacts:
@@ -355,18 +342,7 @@ def build_rule_artifacts_from_store(
     runs.  Built output is byte-identical to a cold run of
     :func:`build_rule_artifacts` on the same dataset and thresholds.
     ``minconf=None`` reuses the threshold recorded at save time.
-
-    A *forced* lattice strategy — an explicit argument other than
-    ``"auto"``, or the ``REPRO_LATTICE_STRATEGY`` environment override —
-    takes precedence over the stored order core: the lattice is rebuilt
-    with the requested strategy instead of silently serving the stored
-    one, so forcing ``reference`` for a cross-check actually runs the
-    reference builder.
     """
-    import os
-
-    from ..core.order import STRATEGY_ENV_VAR
-
     closed = stored.require("closed")
     if minconf is None:
         minconf = stored.minconf
@@ -374,17 +350,14 @@ def build_rule_artifacts_from_store(
         raise InvalidParameterError(
             "the store records no minconf; pass minconf= explicitly"
         )
-    env_forced = os.environ.get(STRATEGY_ENV_VAR, "").strip().lower()
-    strategy_forced = lattice_strategy != "auto" or env_forced not in ("", "auto")
     context = BasisContext(
         closed=closed,
         minconf=minconf,
         frequent=stored.frequent,
         generators=stored.generators,
-        lattice_strategy=lattice_strategy,
         block_rows=block_rows,
         workers=workers,
-        _lattice=None if strategy_forced else stored.lattice,
+        _lattice=stored.lattice,
     )
     minsup = stored.minsup
     if minsup is None:

@@ -31,7 +31,7 @@ import numpy as np
 from ..core.bitmatrix import packed_containment
 from ..core.families import ClosedItemsetFamily
 from ..core.lattice import IcebergLattice
-from ..core.order import PackedOrderCore, pack_itemset_masks
+from ..core.order import OrderCore, pack_itemset_masks
 from ..core.parallel import get_executor
 
 __all__ = ["repair_lattice"]
@@ -145,5 +145,5 @@ def repair_lattice(
 
     rows = np.fromiter((r for r, _ in edges), dtype=np.int64, count=len(edges))
     cols = np.fromiter((c for _, c in edges), dtype=np.int64, count=len(edges))
-    core = PackedOrderCore.from_parts(proper, rows, cols)
+    core = OrderCore.from_parts(proper, rows, cols)
     return IcebergLattice(closed, order_core=core)

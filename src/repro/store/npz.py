@@ -7,7 +7,7 @@ library already holds in packed form.  This module writes those arrays
 into one compressed ``.npz`` container (plain numpy, no pickling, no
 optional dependencies) and rehydrates them without redoing any of the
 expensive work: a loaded lattice adopts the stored containment words and
-Hasse edges through :meth:`~repro.core.order.PackedOrderCore.from_parts`
+Hasse edges through :meth:`~repro.core.order.OrderCore.from_parts`
 instead of re-running the O(n²) construction passes.
 
 Container layout (flat keys, ``__``-separated)::
@@ -51,7 +51,7 @@ from ..core.families import ClosedItemsetFamily, ItemsetFamily
 from ..core.generators import GeneratorFamily
 from ..core.itemset import Item, Itemset
 from ..core.lattice import IcebergLattice
-from ..core.order import PackedOrderCore, pack_itemset_masks
+from ..core.order import OrderCore, pack_itemset_masks
 from ..core.rulearrays import RuleArrays, sorted_universe
 from ..data.context import TransactionDatabase
 from ..errors import InvalidParameterError, StoreFormatError, StoreIntegrityError
@@ -379,7 +379,6 @@ def save_run(
         payload["order__rows"] = np.asarray(hasse_rows, dtype=np.int64)
         payload["order__cols"] = np.asarray(hasse_cols, dtype=np.int64)
         manifest["order"] = {
-            "strategy": lattice.strategy,
             "n": len(lattice),
             "n_edges": lattice.edge_count(),
         }
@@ -573,6 +572,13 @@ def _load_sections(
         )
         gen_matrix = BitMatrix(data["generators__words"], len(universe))
         closure_index = data["generators__closure_index"]
+        if closure_index.size and not (
+            closure_index.min() >= 0 and closure_index.max() < len(members)
+        ):
+            raise StoreFormatError(
+                f"{run.path}: generators__closure_index must index the "
+                f"{len(members)} closed itemsets"
+            )
         generator_sets = _decode_members(gen_matrix, universe)
         by_closure: dict[Itemset, list[Itemset]] = {}
         for index, generator in zip(closure_index, generator_sets):
@@ -580,20 +586,20 @@ def _load_sections(
         run.generators = GeneratorFamily(run.closed, by_closure)
 
     if "order" in wanted:
-        if retain_containment:
-            n = int(manifest["order"]["n"])
-            core = PackedOrderCore.from_parts(
-                BitMatrix(data["order__words"], n),
-                data["order__rows"],
-                data["order__cols"],
-            )
-        else:
-            masks, _ = pack_itemset_masks(run.closed.itemsets())
-            core = PackedOrderCore.from_edges(
-                masks,
-                data["order__rows"],
-                data["order__cols"],
-            )
+        rows, cols = data["order__rows"], data["order__cols"]
+        try:
+            if retain_containment:
+                n = int(manifest["order"]["n"])
+                core = OrderCore.from_parts(
+                    BitMatrix(data["order__words"], n), rows, cols
+                )
+            else:
+                masks, _ = pack_itemset_masks(run.closed.itemsets())
+                core = OrderCore.from_edges(masks, rows, cols)
+        except InvalidParameterError as exc:
+            raise StoreFormatError(
+                f"{run.path}: order__rows/order__cols: {exc}"
+            ) from None
         run.lattice = IcebergLattice(run.closed, order_core=core)
 
     if "rules" in wanted:

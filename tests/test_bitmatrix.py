@@ -4,7 +4,7 @@ Every :class:`~repro.core.bitmatrix.BitMatrix` operation must agree with
 the corresponding dense numpy operation on random matrices (including
 degenerate 0-row / 0-column shapes and widths straddling the 64-bit word
 boundary), and the packed order constructions must agree with the dense
-ones of :mod:`repro.core.order` on random itemset families — both in
+bool oracles of ``tests/oracles.py`` on random itemset families — both in
 canonical (size-sorted) member order, which enables the pruned fast
 path, and shuffled, which exercises the full-scan fallback.
 """
@@ -21,11 +21,9 @@ from repro.core.bitmatrix import (
     packed_hasse_reduction,
 )
 from repro.core.itemset import Itemset
-from repro.core.order import (
-    containment_matrix,
-    hasse_reduction,
-    pack_itemset_masks,
-)
+from repro.core.order import pack_itemset_masks
+
+from oracles import containment_matrix, hasse_reduction
 
 
 @st.composite

@@ -30,6 +30,28 @@ class TestEntryPointDeclaration:
         assert 'repro-mine = "repro.experiments.cli:main"' in pyproject
 
 
+class TestImports:
+    def test_cli_and_serve_import_without_networkx(self):
+        # numpy is the only runtime dependency; a daemon boot pays every
+        # import of repro.experiments.cli and repro.serve.
+        env = dict(os.environ)
+        src = str(REPO_ROOT / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, repro.experiments.cli, repro.serve; "
+            "print('networkx' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+
 class TestHelp:
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -57,6 +57,26 @@ def context_and_batch(draw):
     return db, batch
 
 
+@st.composite
+def wide_context_and_batch(draw):
+    """63/64/65 objects over 63/64/65 items, with batches of 1–8 candidates.
+
+    Both packed axes of the numpy engine (object bits per item row, item
+    bits per object row) straddle a uint64 word boundary.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    pool = [f"i{k:02d}" for k in range(draw(st.sampled_from([63, 64, 65])))]
+    n_objects = draw(st.sampled_from([63, 64, 65]))
+    density = draw(st.sampled_from([0.05, 0.5, 0.95]))
+    rows = [{item for item in pool if rng.random() < density} for _ in range(n_objects)]
+    db = TransactionDatabase(rows, item_order=pool)
+    batch = [
+        Itemset(rng.sample(pool, rng.randint(0, 4)))
+        for _ in range(draw(st.integers(min_value=1, max_value=8)))
+    ]
+    return db, batch
+
+
 def brute_force_closure(db: TransactionDatabase, itemset: Itemset) -> Itemset:
     covering = [row for row in db if itemset.issubset(row)]
     if not covering:
@@ -114,9 +134,9 @@ class TestBatchAgreesWithSingle:
             zip(db.engine().closures(batch), db.engine().supports(batch))
         )
 
-    def test_large_batch_crosses_small_batch_threshold(self):
-        # Exercise both the direct decode path (tiny batches) and the
-        # dedup + matmul path (large batches) of the numpy engine.
+    def test_large_batch_equals_single_calls(self):
+        # One large batch (cover dedup + one AND-reduce over the distinct
+        # covers) against one batch of one per candidate.
         db = make_random_db(1)
         rng = random.Random(9)
         batch = [
@@ -145,7 +165,7 @@ class TestBatchAgreesWithSingle:
 # ----------------------------------------------------------------------
 class TestEngineEquivalence:
     @settings(max_examples=60, deadline=None)
-    @given(data=context_and_batch())
+    @given(data=st.one_of(context_and_batch(), wide_context_and_batch()))
     def test_numpy_and_bitset_agree(self, data):
         db, batch = data
         numpy_engine = make_engine(db, "numpy")

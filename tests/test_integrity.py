@@ -13,8 +13,13 @@ claims to catch through a real saved container:
 * a stale digest (manifest lists a wrong hash) — ``verify="full"``
   raises, ``verify="manifest"`` (inventory only) still loads.
 
+Index arrays rewritten out of range, with their digests recomputed so
+only the range checks can catch them, fail with a typed
+:class:`~repro.errors.StoreFormatError` naming the array.
+
 Plus: a live :class:`~repro.serve.app.ServeApp` keeps serving the old
-generation when a reload hits a corrupted replacement, and the
+generation when a reload hits a corrupted or out-of-range replacement,
+and the
 :func:`~repro.ioutils.atomic_write` helper used by every saver is
 all-or-nothing.
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import zipfile
 
 import numpy as np
@@ -42,6 +48,7 @@ from repro.experiments.harness import (
 from repro.ioutils import atomic_write
 from repro.serve import ServeApp
 from repro.store import load_run, read_manifest
+from repro.store.integrity import array_digest
 from repro.testing import FaultInjector
 
 FIG1 = [
@@ -73,6 +80,52 @@ def rezip(source, dest, mutate):
     with zipfile.ZipFile(dest, "w", zipfile.ZIP_DEFLATED) as archive:
         for name, payload in members.items():
             archive.writestr(name, mutate(name, payload))
+
+
+def rewrite_array(source, dest, key, mutate):
+    """Rewrite array *key* of *source* into *dest* as *mutate(array)*,
+    recomputing its manifest digest so the container stays intact.
+    """
+    member = f"{key}.npy"
+    with zipfile.ZipFile(source) as archive:
+        array = np.load(io.BytesIO(archive.read(member)))
+    array = mutate(array.copy())
+
+    def replace(name, payload):
+        buffer = io.BytesIO()
+        if name == member:
+            np.save(buffer, array)
+        elif name == "manifest.npy":
+            header_end = payload.index(b"\n") + 1
+            manifest = json.loads(bytes(payload[header_end:]))
+            manifest["integrity"]["arrays"][key] = array_digest(array)
+            body = json.dumps(manifest, sort_keys=True).encode("utf-8")
+            np.save(buffer, np.frombuffer(body, dtype=np.uint8))
+        else:
+            return payload
+        return buffer.getvalue()
+
+    rezip(source, dest, replace)
+    return dest
+
+
+def set_first(value):
+    def mutate(array):
+        array[0] = value
+        return array
+
+    return mutate
+
+
+#: ``(array, mutation)`` pairs that leave an index array out of range.
+OUT_OF_RANGE = {
+    "edge-row-past-n": ("order__rows", set_first(99)),
+    "edge-col-past-n": ("order__cols", set_first(99)),
+    "edge-not-upward": ("order__rows", lambda rows: rows[::-1].copy()),
+    "edge-arrays-unequal": ("order__cols", lambda cols: cols[:-1]),
+    "closure-index-past-n": ("generators__closure_index", set_first(99)),
+    "closure-index-negative": ("generators__closure_index", set_first(-1)),
+}
 
 
 def listed_arrays(path) -> dict[str, str]:
@@ -194,6 +247,20 @@ class TestCorruptionMatrix:
         assert issubclass(StoreIntegrityError, StoreFormatError)
 
 
+class TestIndexRanges:
+    @pytest.mark.parametrize("case", OUT_OF_RANGE)
+    @pytest.mark.parametrize("retain_containment", [True, False])
+    def test_out_of_range_index_rejected(
+        self, store_path, tmp_path, case, retain_containment
+    ):
+        key, mutate = OUT_OF_RANGE[case]
+        bad = rewrite_array(store_path, tmp_path / "bad.npz", key, mutate)
+        with pytest.raises(StoreFormatError, match=key) as excinfo:
+            load_run(bad, verify="full", retain_containment=retain_containment)
+        # The digests were recomputed: only the range check can catch it.
+        assert not isinstance(excinfo.value, StoreIntegrityError)
+
+
 class TestReloadKeepsOldGeneration:
     def test_corrupt_replacement_keeps_serving(self, store_path):
         app = ServeApp(store_path, watch=False)
@@ -216,6 +283,25 @@ class TestReloadKeepsOldGeneration:
         app.request_reload()
         status, payload = app.handle("GET", "/healthz")
         assert status == 200 and payload["generation"] == 2
+
+
+    def test_watcher_keeps_serving_after_out_of_range_replacement(
+        self, store_path, tmp_path
+    ):
+        app = ServeApp(store_path, watch=True)
+        bad = rewrite_array(
+            store_path, tmp_path / "bad.npz", "order__rows", set_first(99)
+        )
+        stat = store_path.stat()
+        store_path.write_bytes(bad.read_bytes())
+        os.utime(store_path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        for _ in range(2):
+            status, payload = app.handle("GET", "/healthz")
+            assert status == 200 and payload["generation"] == 1
+        status, metrics = app.handle("GET", "/metrics")
+        assert status == 200
+        assert metrics["reload_failures"] == 1
+        assert "order__rows" in metrics["last_reload_error"]
 
 
 class TestAtomicWrite:

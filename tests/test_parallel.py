@@ -39,6 +39,8 @@ from repro.errors import InvalidParameterError
 from repro.experiments.harness import build_rule_artifacts, mine_itemsets
 from repro.store import load_run, save_run
 
+from oracles import reference_lattice
+
 WORKER_COUNTS = (1, 2, 8)
 
 ALL_BASES = ",".join(sorted(registered_names()))
@@ -186,12 +188,11 @@ def chain_family(n_items: int) -> ClosedItemsetFamily:
 
 
 @pytest.mark.parametrize("n_items", [63, 64, 65])
-@pytest.mark.parametrize("strategy", ["packed", "dense"])
-def test_lattice_workers_byte_identical_word_boundaries(n_items, strategy):
+def test_lattice_workers_byte_identical_word_boundaries(n_items):
     family = chain_family(n_items)
-    serial = IcebergLattice(family, strategy=strategy, workers=1)
-    for workers in WORKER_COUNTS[1:]:
-        lattice = IcebergLattice(family, strategy=strategy, workers=workers)
+    serial = IcebergLattice(family, workers=1)
+    sharded = [IcebergLattice(family, workers=w) for w in WORKER_COUNTS[1:]]
+    for lattice in [*sharded, reference_lattice(family)]:
         for side in (0, 1):
             assert np.array_equal(
                 lattice.hasse_edge_indices()[side], serial.hasse_edge_indices()[side]
@@ -208,10 +209,10 @@ def test_lattice_workers_byte_identical_word_boundaries(n_items, strategy):
 
 def test_lattice_workers_byte_identical_star_family():
     family = make_star_closed_family(402, n_objects=60)
-    serial = IcebergLattice(family, strategy="packed", workers=1)
+    serial = IcebergLattice(family, workers=1)
     assert serial.edge_count() == 2 * 400
     for workers in WORKER_COUNTS[1:]:
-        lattice = IcebergLattice(family, strategy="packed", workers=workers)
+        lattice = IcebergLattice(family, workers=workers)
         for side in (0, 1):
             assert np.array_equal(
                 lattice.hasse_edge_indices()[side], serial.hasse_edge_indices()[side]
@@ -259,7 +260,7 @@ def test_rule_dense_emitters_byte_identical(reduced):
     from repro.core.informative import InformativeBasis
 
     closed, generators = make_rule_dense_family(40, 2)
-    lattice = IcebergLattice(closed, strategy="packed")
+    lattice = IcebergLattice(closed)
     # Tiny forced blocks so every worker count really streams many blocks.
     serial_lux = LuxenburgerBasis(
         closed, 0.0, transitive_reduction=reduced, lattice=lattice, block_rows=17
@@ -304,7 +305,7 @@ def test_streamed_emitters_are_duplicate_free(reduced):
     from repro.core.informative import InformativeBasis
 
     closed, generators = make_rule_dense_family(40, 3)
-    lattice = IcebergLattice(closed, strategy="packed")
+    lattice = IcebergLattice(closed)
     for basis in (
         LuxenburgerBasis(
             closed, 0.0, transitive_reduction=reduced, lattice=lattice, block_rows=17
@@ -416,8 +417,8 @@ def test_family_closure_index_is_thread_safe(toy_closed):
 # CSR-only edge store mode (retain_containment=False)
 # ----------------------------------------------------------------------
 def test_csr_only_core_answers_like_full(toy_closed):
-    full = IcebergLattice(toy_closed, strategy="packed")
-    lean = IcebergLattice(toy_closed, strategy="packed", retain_containment=False)
+    full = IcebergLattice(toy_closed)
+    lean = IcebergLattice(toy_closed, retain_containment=False)
     assert full.order_core.retains_containment
     assert not lean.order_core.retains_containment
     for side in (0, 1):
@@ -444,7 +445,7 @@ def test_csr_only_core_answers_like_full(toy_closed):
 
 
 def test_store_load_csr_only(tmp_path, toy_closed):
-    lattice = IcebergLattice(toy_closed, strategy="packed")
+    lattice = IcebergLattice(toy_closed)
     path = save_run(tmp_path / "run.npz", closed=toy_closed, lattice=lattice)
     lean = load_run(path, retain_containment=False).lattice
     full = load_run(path).lattice

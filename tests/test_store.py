@@ -16,7 +16,8 @@ from repro import store
 from repro.bases import registered_names
 from repro.core.itemset import Itemset
 from repro.core.lattice import IcebergLattice
-from repro.core.order import PackedOrderCore
+from repro.core.luxenburger import LuxenburgerBasis
+from repro.core.order import OrderCore
 from repro.data.context import TransactionDatabase
 from repro.data.synthetic import make_rule_dense_family, make_star_closed_family
 from repro.errors import InvalidParameterError, StoreFormatError
@@ -29,6 +30,7 @@ from repro.experiments.harness import (
 )
 
 from conftest import make_random_db
+from oracles import hasse_edges_reference, reference_lattice
 
 
 @pytest.fixture(scope="module")
@@ -100,13 +102,13 @@ class TestRoundTrip:
     def test_order_core(self, toy_store_path, toy_artifacts):
         run = store.load_run(toy_store_path)
         lattice = toy_artifacts.context.lattice
-        assert isinstance(run.lattice.order_core, PackedOrderCore)
+        assert isinstance(run.lattice.order_core, OrderCore)
         assert run.lattice.hasse_edges() == lattice.hasse_edges()
         left = sorted(zip(*run.lattice.containment_indices()))
         right = sorted(zip(*lattice.containment_indices()))
         assert left == right
-        # The stored packed containment equals a fresh packed build.
-        rebuilt = IcebergLattice(run.lattice.closed_family, strategy="packed")
+        # The stored packed containment equals a fresh build.
+        rebuilt = IcebergLattice(run.lattice.closed_family)
         assert run.lattice.order_core.packed_containment_matrix().equals(
             rebuilt.order_core.packed_containment_matrix()
         )
@@ -252,35 +254,23 @@ class TestWarmStart:
         assert "minconf=0.9" in warm
         assert warm == mined
 
-    def test_env_forced_strategy_overrides_stored_core(
-        self, toy_store_path, monkeypatch
-    ):
-        from repro.core.order import STRATEGY_ENV_VAR
-
-        run = store.load_run(toy_store_path)
-        monkeypatch.setenv(STRATEGY_ENV_VAR, "reference")
-        warm = build_rule_artifacts_from_store(run, bases=("luxenburger-reduced",))
-        assert warm.context.lattice is not run.lattice
-        assert warm.context.lattice.strategy == "reference"
-
     def test_nameless_store_reads_as_unnamed(self, tmp_path, toy_mining):
         path = tmp_path / "nameless.npz"
         store.save_run(path, closed=toy_mining.closed, minsup=0.4)
         run = store.load_run(path)
         assert run.name == "unnamed"
 
-    def test_forced_lattice_strategy_overrides_stored_core(self, toy_store_path):
-        """An explicit strategy must actually run, not serve the stored core."""
+    def test_stored_lattice_matches_reference(self, toy_store_path):
+        """The warm start serves the stored core, and it equals the oracle's."""
         run = store.load_run(toy_store_path)
-        warm = build_rule_artifacts_from_store(
-            run, bases=("luxenburger-reduced",), lattice_strategy="reference"
+        warm = build_rule_artifacts_from_store(run, bases=("luxenburger-reduced",))
+        assert warm.context.lattice is run.lattice
+        assert run.lattice.hasse_edges() == hasse_edges_reference(run.closed)
+        oracle = LuxenburgerBasis(
+            run.closed, minconf=run.minconf, lattice=reference_lattice(run.closed)
         )
-        assert warm.context.lattice is not run.lattice
-        assert warm.context.lattice.strategy == "reference"
         assert warm["luxenburger-reduced"].rules.same_rules_and_statistics(
-            build_rule_artifacts_from_store(run, bases=("luxenburger-reduced",))[
-                "luxenburger-reduced"
-            ].rules
+            oracle.rules
         )
 
     def test_cli_user_errors_are_clean(self, tmp_path, capsys):
