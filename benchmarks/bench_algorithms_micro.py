@@ -8,9 +8,11 @@ right place to watch for performance regressions of the library itself.
 The ``engine``-named benchmarks time the batch closure path of
 :mod:`repro.engine` on the dense Fig. 1 workload (MUSHROOM*): closing a
 whole 1k/10k-candidate level in one engine call versus the equivalent
-per-itemset closure loop.  CI's benchmark job records these with
-``--benchmark-json`` and ``scripts/check_bench_regression.py`` flags any
-engine benchmark that slows down more than 2x against the base branch.
+per-itemset closure loop; and whole Apriori, Close and A-Close runs on a
+sparse Quest context, which time the shared rank-array candidate kernel.
+CI's benchmark job records these with ``--benchmark-json`` and
+``scripts/check_bench_regression.py`` flags any engine benchmark that
+slows down more than 2x against the base branch.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.core.luxenburger import LuxenburgerBasis
 from repro.core.rules import RuleSet
 from repro.data.benchmarks_data import make_mushroom
 from repro.data.synthetic import (
+    QuestGenerator,
     make_rule_dense_family,
     make_star_closed_family,
     rule_dense_expected_counts,
@@ -407,6 +410,42 @@ def test_engine_per_itemset_closure_loop(benchmark, mushroom):
         lambda: [engine.closure_and_support(candidate) for candidate in candidates]
     )
     assert len(result) == 1_000
+
+
+#: ``(itemsets found, candidates, database passes)`` of each level-wise
+#: miner on the sparse Quest input below: the counters the paper's
+#: figures plot, pinned so a faster kernel cannot do different work.
+LEVELWISE_COUNTERS = {
+    "Apriori": (3_310, 46_739, 6),
+    "Close": (3_309, 46_738, 6),
+    "AClose": (3_309, 46_739, 7),
+}
+
+
+@pytest.fixture(scope="module")
+def quest_sparse():
+    """Quest T10I4, 2,000 objects: build-sparse's context before renaming."""
+    return QuestGenerator(avg_transaction_size=10.0, avg_pattern_size=4.0).generate(2000)
+
+
+@pytest.mark.parametrize(
+    "algorithm_class", [Apriori, Close, AClose], ids=lambda cls: cls.__name__
+)
+def test_engine_levelwise_miners(benchmark, quest_sparse, algorithm_class):
+    """A whole level-wise run on the rank-array candidate kernel, minsup 0.006.
+
+    ~47k candidates over six levels, 7% of them frequent: the join and
+    prune, popcount supports and (Close) closing only the frequent
+    candidates are the whole cost.
+    """
+    run = benchmark(lambda: algorithm_class(0.006).run(quest_sparse))
+    statistics = run.statistics
+    counters = (
+        statistics.itemsets_found,
+        statistics.candidates_generated,
+        statistics.database_passes,
+    )
+    assert counters == LEVELWISE_COUNTERS[algorithm_class.__name__]
 
 
 @pytest.mark.parametrize("engine_name", ["numpy", "bitset"])

@@ -21,15 +21,27 @@ the simpler "close every generator" variant, which returns the same
 result and only changes constants that are irrelevant to the shapes the
 benchmarks reproduce (the closure pass is still a single scan-equivalent
 phase).
+
+The level loop runs on sorted arrays of item ranks through the candidate
+kernel of :mod:`repro.algorithms.levelwise`, shared with Apriori and
+Close: each level is one support-only engine batch, and the generator
+test compares every candidate's support with its immediate subsets'
+through the subset rows the kernel returns.  The closure pass is one
+:meth:`~repro.engine.ClosureEngine.evaluate_level` batch over all
+generators, shorter rows padded by cycling their items.  Generators and
+closed sets become :class:`~repro.core.itemset.Itemset` objects once, at
+the end.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.families import ClosedItemsetFamily
 from ..core.itemset import Itemset
 from ..data.context import TransactionDatabase
-from .apriori import apriori_candidates
 from .base import MiningAlgorithm, MiningStatistics
+from .levelwise import ClosureRecords, ItemOrder, join_level
 
 __all__ = ["AClose"]
 
@@ -67,85 +79,64 @@ class AClose(MiningAlgorithm):
     ) -> ClosedItemsetFamily:
         engine = self._engine(database)
         threshold = database.minsup_count(self._minsup)
-        n_objects = database.n_objects
+        order = ItemOrder(database)
 
         # ------------------------------------------------------------------
         # Phase 1: find the frequent minimal generators level-wise.
         # ------------------------------------------------------------------
-        generator_supports: dict[Itemset, int] = {}
-
         statistics.database_passes += 1
         statistics.levels = 1
-        level: dict[Itemset, int] = {}
-        singles = [Itemset.of(item) for item in database.items]
-        statistics.candidates_generated += len(singles)
-        for candidate, count in zip(singles, engine.supports(singles)):
-            # A single item is a minimal generator unless it appears in
-            # every object (then its closure is already the closure of the
-            # empty set); it is still useful to keep it so that its closed
-            # superset is produced, and the closure pass deduplicates.
-            if count >= threshold:
-                level[candidate] = count
-                generator_supports[candidate] = count
+        statistics.candidates_generated += database.n_items
+        level = np.arange(database.n_items)[:, None]
+        counts, _ = engine.evaluate_level(order.columns[level])
+        # A single item is a minimal generator unless it appears in every
+        # object (then its closure is already the closure of the empty
+        # set); it is still useful to keep it so that its closed superset
+        # is produced, and the closure pass deduplicates.
+        frequent = counts >= threshold
+        level, level_counts = level[frequent], counts[frequent]
+        generators = [(level, level_counts)]
 
-        while level:
-            candidates = apriori_candidates(sorted(level))
-            if not candidates:
+        while len(level):
+            candidates, subsets = join_level(level)
+            if not len(candidates):
                 break
             statistics.database_passes += 1
             statistics.levels += 1
-            next_level: dict[Itemset, int] = {}
             # One batched support pass counts the whole candidate level.
             statistics.candidates_generated += len(candidates)
-            for candidate, count in zip(candidates, engine.supports(candidates)):
-                if count < threshold:
-                    continue
-                # Generator test: the support must be strictly smaller than
-                # the support of every immediate subset; equality means the
-                # candidate has the same closure as that subset.
-                is_generator = True
-                for subset in candidate.immediate_subsets():
-                    subset_count = level.get(subset)
-                    if subset_count is None:
-                        # The subset was itself discarded as a non-generator;
-                        # supersets of non-generators are non-generators.
-                        is_generator = False
-                        break
-                    if subset_count == count:
-                        is_generator = False
-                        break
-                if is_generator:
-                    next_level[candidate] = count
-                    generator_supports[candidate] = count
-            level = next_level
+            counts, _ = engine.evaluate_level(order.columns[candidates])
+            # Generator test: the support must be strictly smaller than the
+            # support of every immediate subset; equality means the
+            # candidate has the same closure as that subset.
+            keep = counts >= threshold
+            keep &= (level_counts[subsets] != counts[:, None]).all(axis=1)
+            level, level_counts = candidates[keep], counts[keep]
+            generators.append((level, level_counts))
 
         # ------------------------------------------------------------------
         # Phase 2: closure pass over the retained generators.
         # ------------------------------------------------------------------
         statistics.database_passes += 1
-        closed_supports: dict[Itemset, int] = {}
-        generators_by_closure: dict[Itemset, list[Itemset]] = {}
-        ordered_generators = sorted(generator_supports)
         # The final closure pass is one batch over every retained generator.
-        closures = engine.closures(ordered_generators)
-        for generator, closure in zip(ordered_generators, closures):
-            count = generator_supports[generator]
-            previous = closed_supports.get(closure)
-            if previous is None:
-                closed_supports[closure] = count
-            # As in Close: a single item covering every object is recorded as
-            # the empty generator, its true minimal generator.
-            recorded = generator
-            if count == n_objects and len(generator) == 1:
-                recorded = Itemset.empty()
-            bucket = generators_by_closure.setdefault(closure, [])
-            if recorded not in bucket:
-                bucket.append(recorded)
+        # Shorter rows are padded by cycling their items, which leaves each
+        # itemset, its cover and its closure unchanged.
+        width = generators[-1][0].shape[1]
+        padded = np.concatenate(
+            [level[:, np.arange(width) % level.shape[1]] for level, _ in generators]
+        )
+        _, closures = engine.evaluate_level(order.columns[padded], close_at=threshold)
+        records = ClosureRecords(database.n_objects)
+        start = 0
+        for level, level_counts in generators:
+            stop = start + len(level)
+            records.add(level, level_counts, closures[start:stop])
+            start = stop
 
-        self.generators = sorted(generator_supports)
-        self.generators_by_closure = {
-            closure: sorted(gens) for closure, gens in generators_by_closure.items()
-        }
+        self.generators = [
+            generator for level, _ in generators for generator in order.itemsets(level)
+        ]
+        closed_supports, self.generators_by_closure = records.decode(order)
         return ClosedItemsetFamily(
-            closed_supports, n_objects=n_objects, minsup_count=threshold
+            closed_supports, n_objects=database.n_objects, minsup_count=threshold
         )

@@ -9,24 +9,29 @@ of the survivors.  The bases papers use Apriori both as the source of
 are generated — and as the runtime baseline that Close and A-Close are
 compared against.
 
-The implementation below hands each candidate level to the context's
-closure engine as one batch, so support counting is a handful of
-vectorised reductions (packed cover ANDs and popcounts on the numpy
-engine, early exit tidset ANDs on the bitset engine) instead of a
-database re-scan per candidate; the number of logical database passes
-reported in the statistics still follows the classical level-wise
-accounting (one pass per level), which is what the original figures
-plot.
+The level loop runs on sorted arrays of item ranks through the
+candidate kernel of :mod:`repro.algorithms.levelwise`, which Close and
+A-Close share.  Each level is one batch of the context's closure engine,
+so support counting is a handful of vectorised reductions (packed cover
+ANDs and popcounts on the numpy engine, early exit tidset ANDs on the
+bitset engine) instead of a database re-scan per candidate; each
+frequent itemset becomes an :class:`~repro.core.itemset.Itemset` once,
+at the end.  The number of logical database passes reported in the
+statistics still follows the classical level-wise accounting (one pass
+per level), which is what the original figures plot.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import numpy as np
 
 from ..core.families import ItemsetFamily
 from ..core.itemset import Itemset
+from ..core.rulearrays import sorted_universe
 from ..data.context import TransactionDatabase
+from ..errors import InvalidParameterError
 from .base import MiningAlgorithm, MiningStatistics
+from .levelwise import ItemOrder, join_level
 
 __all__ = ["Apriori", "apriori_candidates"]
 
@@ -37,26 +42,23 @@ def apriori_candidates(level: list[Itemset]) -> list[Itemset]:
     Two ``k``-itemsets are joined when they share their first ``k - 1``
     items (in canonical order); the resulting candidate is kept only if all
     of its ``k``-subsets belong to *level* (the classical Apriori pruning).
+    The candidates come back in canonical order.
 
-    The function is exposed publicly because Close and A-Close reuse the
-    very same join on their generator sets.
+    A thin wrapper over :func:`~repro.algorithms.levelwise.join_level`,
+    the kernel the miners run on, for callers that hold itemsets.
     """
-    frequent = set(level)
-    ordered = sorted(level)
-    candidates: list[Itemset] = []
-    by_prefix: dict[tuple, list[Itemset]] = {}
-    for itemset in ordered:
-        items = itemset.as_tuple()
-        by_prefix.setdefault(items[:-1], []).append(itemset)
-    for prefix_group in by_prefix.values():
-        for first, second in combinations(prefix_group, 2):
-            candidate = first.union(second)
-            if all(
-                subset in frequent
-                for subset in candidate.subsets_of_size(len(candidate) - 1)
-            ):
-                candidates.append(candidate)
-    return sorted(candidates)
+    members = set(level)
+    sizes = {len(member) for member in members}
+    if len(sizes) > 1:
+        raise InvalidParameterError("a candidate level holds itemsets of one size")
+    universe = sorted_universe(item for member in members for item in member)
+    rank = {item: r for r, item in enumerate(universe)}
+    rows = np.array(
+        [sorted(rank[item] for item in member) for member in members], dtype=np.intp
+    ).reshape(len(members), sizes.pop() if sizes else 0)
+    rows = rows[np.lexsort(rows.T[::-1])] if rows.size else rows
+    candidates, _ = join_level(rows)
+    return [Itemset([universe[r] for r in row]) for row in candidates.tolist()]
 
 
 class Apriori(MiningAlgorithm):
@@ -95,36 +97,38 @@ class Apriori(MiningAlgorithm):
     ) -> ItemsetFamily:
         engine = self._engine(database)
         threshold = database.minsup_count(self._minsup)
-        supports: dict[Itemset, int] = {}
+        order = ItemOrder(database)
 
-        # Level 1: count every single item in one batched pass.
+        # Level 1: count every single item in one batched pass.  The
+        # family lists the frequent items in column order.
         statistics.database_passes += 1
         statistics.levels = 1
-        singles = [Itemset.of(item) for item in database.items]
-        statistics.candidates_generated += len(singles)
-        level: list[Itemset] = []
-        for itemset, count in zip(singles, engine.supports(singles)):
-            if count >= threshold:
-                supports[itemset] = count
-                level.append(itemset)
+        statistics.candidates_generated += database.n_items
+        counts, _ = engine.evaluate_level(np.arange(database.n_items)[:, None])
+        frequent_columns = np.flatnonzero(counts >= threshold)
+        supports: dict[Itemset, int] = {
+            Itemset.of(order.items[c]): int(counts[c]) for c in frequent_columns.tolist()
+        }
+        level = np.sort(order.ranks[frequent_columns])[:, None]
 
         # Levels k >= 2: join, prune, then count the whole level in one batch.
-        while level:
+        levels: list[tuple[np.ndarray, np.ndarray]] = []
+        while len(level):
             if self._max_size is not None and statistics.levels >= self._max_size:
                 break
-            candidates = apriori_candidates(sorted(level))
-            if not candidates:
+            candidates, _ = join_level(level)
+            if not len(candidates):
                 break
             statistics.database_passes += 1
             statistics.levels += 1
             statistics.candidates_generated += len(candidates)
-            next_level: list[Itemset] = []
-            for candidate, count in zip(candidates, engine.supports(candidates)):
-                if count >= threshold:
-                    supports[candidate] = count
-                    next_level.append(candidate)
-            level = next_level
+            counts, _ = engine.evaluate_level(order.columns[candidates])
+            frequent = counts >= threshold
+            level = candidates[frequent]
+            levels.append((level, counts[frequent]))
 
+        for level, counts in levels:
+            supports.update(zip(order.itemsets(level), counts.tolist()))
         return ItemsetFamily(
             supports, n_objects=database.n_objects, minsup_count=threshold
         )

@@ -6,9 +6,9 @@ frequent closed itemsets ``FC``.  It works level-wise over *generator*
 itemsets:
 
 1. the candidate generators of size 1 are the single items;
-2. for every candidate generator ``p`` one database pass computes both its
-   support and its closure ``h(p)`` (the intersection of the transactions
-   containing ``p``);
+2. one database pass per level counts the support of every candidate
+   generator ``p`` and computes the closure ``h(p)`` (the intersection
+   of the transactions containing ``p``) of the frequent ones;
 3. infrequent generators are discarded; a generator whose closure was
    already produced by one of its subsets is redundant and discarded too;
 4. candidate generators of size ``k + 1`` are obtained with the Apriori
@@ -23,15 +23,27 @@ database passes equals the length of the largest generator, which on
 dense correlated data is much smaller than the largest frequent itemset —
 this is what gives Close its advantage over Apriori in the paper's
 figures.
+
+The level loop runs on sorted arrays of item ranks through the candidate
+kernel of :mod:`repro.algorithms.levelwise`.  Each level is one
+:meth:`~repro.engine.ClosureEngine.evaluate_level` batch: supports by
+popcount, then the packed closures of the frequent candidates only.  A
+candidate ``c`` lies inside ``h(s)`` for an immediate subset ``s``
+exactly when the item ``c`` drops to give ``s`` is in ``h(s)``, so the
+redundancy test of step 4 is one bit lookup per (candidate, subset)
+pair.  Closed sets and generators become
+:class:`~repro.core.itemset.Itemset` objects once, at the end.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.families import ClosedItemsetFamily
 from ..core.itemset import Itemset
 from ..data.context import TransactionDatabase
-from .apriori import apriori_candidates
 from .base import MiningAlgorithm, MiningStatistics
+from .levelwise import ClosureRecords, ItemOrder, join_level
 
 __all__ = ["Close"]
 
@@ -73,64 +85,35 @@ class Close(MiningAlgorithm):
     ) -> ClosedItemsetFamily:
         engine = self._engine(database)
         threshold = database.minsup_count(self._minsup)
-        closed_supports: dict[Itemset, int] = {}
-        generators_by_closure: dict[Itemset, list[Itemset]] = {}
+        order = ItemOrder(database)
+        records = ClosureRecords(database.n_objects)
 
         # Level 1 candidate generators: the single items.
-        candidates = [Itemset.of(item) for item in database.items]
-        closure_of_generator: dict[Itemset, Itemset] = {}
-        support_of_generator: dict[Itemset, int] = {}
-
-        while candidates:
+        level = np.arange(database.n_items)[:, None]
+        while len(level):
             statistics.database_passes += 1
             statistics.levels += 1
-            survivors: list[Itemset] = []
-            # The whole level is closed and counted in one vectorised
-            # engine pass — this batch is the paper's "one database scan
-            # per level" made literal.
-            level = sorted(candidates)
             statistics.candidates_generated += len(level)
-            evaluated = engine.closures_and_supports(level)
-            for candidate, (closure, count) in zip(level, evaluated):
-                if count < threshold:
-                    continue
-                survivors.append(candidate)
-                closure_of_generator[candidate] = closure
-                support_of_generator[candidate] = count
-                # A single item present in every object is not a minimal
-                # generator (the empty itemset already has the same closure);
-                # record the empty itemset instead so that the generator
-                # family stays made of genuine minimal generators.
-                recorded = candidate
-                if count == database.n_objects and len(candidate) == 1:
-                    recorded = Itemset.empty()
-                if closure not in closed_supports:
-                    closed_supports[closure] = count
-                    generators_by_closure[closure] = [recorded]
-                elif recorded not in generators_by_closure[closure]:
-                    generators_by_closure[closure].append(recorded)
+            # The whole level is counted, and its frequent candidates
+            # closed, in one vectorised engine pass — this batch is the
+            # paper's "one database scan per level" made literal.
+            counts, closures = engine.evaluate_level(
+                order.columns[level], close_at=threshold
+            )
+            frequent = counts >= threshold
+            level = level[frequent]
+            records.add(level, counts[frequent], closures)
 
-            # Build the next level of candidate generators.
-            next_candidates: list[Itemset] = []
-            for candidate in apriori_candidates(survivors):
-                # Redundancy pruning: if the candidate is contained in the
-                # closure of one of its immediate subsets, its closure is
-                # already known (it equals that subset's closure), so the
-                # candidate is not a new generator.
-                redundant = False
-                for subset in candidate.immediate_subsets():
-                    closure = closure_of_generator.get(subset)
-                    if closure is not None and candidate.issubset(closure):
-                        redundant = True
-                        break
-                if not redundant:
-                    next_candidates.append(candidate)
-            candidates = next_candidates
+            # Build the next level of candidate generators, dropping the
+            # candidates inside the closure of one of their immediate
+            # subsets: their closure is already known.
+            candidates, subsets = join_level(level)
+            dropped = order.columns[candidates]
+            words = closures[subsets, dropped >> 6]
+            inside = (words >> (dropped & 63).astype(np.uint64)) & np.uint64(1)
+            level = candidates[~inside.any(axis=1)]
 
-        self.generators_by_closure = {
-            closure: sorted(generators)
-            for closure, generators in generators_by_closure.items()
-        }
+        closed_supports, self.generators_by_closure = records.decode(order)
         return ClosedItemsetFamily(
             closed_supports, n_objects=database.n_objects, minsup_count=threshold
         )

@@ -31,6 +31,7 @@ level-wise miners hand whole candidate batches to the engine directly.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -440,9 +441,7 @@ class TransactionDatabase:
     def cover_mask(self, items: Itemset | Iterable[Item]) -> np.ndarray:
         """Return the cover of *items* as a boolean mask over object rows.
 
-        Vectorised twin of :meth:`cover_bits`; the dense miners (Close,
-        A-Close) use it because computing a closure needs the whole mask
-        anyway.
+        Vectorised twin of :meth:`cover_bits`.
         """
         cols = self.item_columns(items)
         if not cols:
@@ -527,13 +526,22 @@ class TransactionDatabase:
         ``c / |O| >= minsup``; an itemset is frequent iff its absolute
         support is ``>= c``.  A relative threshold of ``0`` maps to count
         ``1`` so that "frequent" always means "occurs at least once".
+
+        ``ceil(minsup * |O|)`` is only a first guess: the product rounds,
+        so for 100 objects at minsup 0.07 it is 8 although 7 / 100 >= 0.07.
+        The guess is corrected against the definition itself.
         """
         if not 0.0 <= minsup <= 1.0:
             raise InvalidParameterError(f"minsup must lie in [0, 1], got {minsup}")
-        if self.n_objects == 0:
+        n_objects = self.n_objects
+        if n_objects == 0:
             raise EmptyDatabaseError("minsup is undefined on an empty database")
-        count = int(np.ceil(minsup * self.n_objects))
-        return max(count, 1)
+        count = max(1, math.ceil(minsup * n_objects))
+        while count > 1 and (count - 1) / n_objects >= minsup:
+            count -= 1
+        while count / n_objects < minsup:
+            count += 1
+        return count
 
     # ------------------------------------------------------------------
     # Vertical view & item pruning

@@ -12,7 +12,11 @@ evaluations behind one abstraction:
 * :class:`~repro.engine.base.ClosureEngine` — the abstract contract: batch
   ``closures() / supports() / extents() / closures_and_supports()`` over a
   sequence of candidate itemsets, plus the single-itemset convenience
-  wrappers and a shared LRU closure cache keyed on canonical itemsets.
+  wrappers and a shared LRU closure cache keyed on canonical itemsets;
+  and ``evaluate_level()``, the level-wise miners' entry point, which
+  takes a candidate level as an array of item column indices, returns
+  every support and the packed closures of the rows reaching a
+  threshold, and bypasses the cache.
 * :class:`~repro.engine.numpy_engine.NumpyClosureEngine` (``"numpy"``) —
   packed-word backend; evaluates a whole candidate level with two bulk
   AND-reductions over uint64 words (the covers, from the per-item object
@@ -41,7 +45,7 @@ between backends::
 
     db = TransactionDatabase(transactions)
     eng = db.engine("numpy")                    # explicit engine handle
-    closures = eng.closures(candidate_level)    # one vectorised pass
+    closures = eng.closures(candidate_itemsets) # one vectorised pass
     Close(minsup=0.3, engine="bitset").mine(db) # per-miner override
 
 Rules of thumb: keep the default ``"numpy"`` for dense/correlated data
@@ -51,8 +55,9 @@ uses it unconditionally — its search state *is* the bitset view).
 
 The engine microbenchmarks in ``benchmarks/bench_algorithms_micro.py``
 time batch closures of 1k/10k-candidate levels against the equivalent
-per-itemset loop on the dense Fig. 1 workload; CI's benchmark job tracks
-them via ``scripts/check_bench_regression.py``.
+per-itemset loop on the dense Fig. 1 workload, and whole Apriori, Close
+and A-Close runs through ``evaluate_level`` on a sparse Quest context;
+CI's benchmark job tracks them via ``scripts/check_bench_regression.py``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,11 @@ the paper over *batches* of candidate itemsets:
 * ``supports(itemsets)`` — ``|g(X)|`` for every candidate;
 * ``extents(itemsets)`` — ``g(X)`` (object row indices) for every candidate;
 * ``closures(itemsets)`` — ``h(X) = f(g(X))`` for every candidate;
-* ``closures_and_supports(itemsets)`` — both in one pass.
+* ``closures_and_supports(itemsets)`` — both in one pass;
+* ``evaluate_level(columns, close_at)`` — the level-wise miners' entry
+  point: one candidate level as an array of item column indices, the
+  support of every row and, when asked, the packed closures of the rows
+  whose support reaches ``close_at``.
 
 Batching matters because every level-wise miner evaluates a whole
 candidate level at once: handing the engine the full level lets the
@@ -16,10 +20,11 @@ of one Python-loop cover computation per itemset.
 
 The base class also owns the **closure cache**: an LRU mapping from a
 canonical :class:`~repro.core.itemset.Itemset` to its ``(closure,
-support)`` pair.  Closures recur heavily across algorithm phases (Close
-re-derives closures that rule generation asks for again later), so the
-cache is shared by the single-itemset wrappers and the batch entry points
-alike; batch calls only compute the cache misses.
+support)`` pair, shared by the single-itemset wrappers and the
+``Itemset`` batch entry points; batch calls only compute the cache
+misses.  :meth:`ClosureEngine.evaluate_level` neither reads nor fills
+it: a mined level is never asked for again, and the bases and the store
+read the mined families instead.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from ..core.bitmatrix import _pack_rows
 from ..core.itemset import Item, Itemset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (context builds engines)
@@ -234,6 +242,37 @@ class ClosureEngine(ABC):
     ) -> list[frozenset[int]]:
         """Return the extent ``g(X)`` (object row indices) of every candidate."""
         return self._extents_batch(self._coerce_all(itemsets))
+
+    def evaluate_level(
+        self, columns: np.ndarray, close_at: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Evaluate one candidate level given as item column indices.
+
+        *columns* is an ``(m × k)`` integer array; row ``r`` names the
+        matrix columns of candidate ``r`` (repeating a column is allowed,
+        it leaves the itemset unchanged).  Returns ``(supports,
+        closures)``: the int64 absolute support of every row and, when
+        *close_at* is given, the closures of the rows whose support is at
+        least *close_at*, in row order, as packed uint64 rows (bit
+        ``c & 63`` of word ``c >> 6`` is column ``c``).  ``closures`` is
+        ``None`` when *close_at* is ``None``.
+
+        The closure cache is not consulted.  This implementation goes
+        through the backend's ``Itemset`` batch methods; backends with a
+        packed view override it.
+        """
+        items = self._items
+        itemsets = [
+            Itemset([items[c] for c in row]) for row in np.asarray(columns).tolist()
+        ]
+        supports = np.array(self._supports_batch(itemsets), dtype=np.int64)
+        if close_at is None:
+            return supports, None
+        closing = [itemsets[r] for r in np.flatnonzero(supports >= close_at).tolist()]
+        closed = np.zeros((len(closing), len(items)), dtype=bool)
+        for row, (closure, _) in enumerate(self._closures_and_supports_batch(closing)):
+            closed[row, self._columns(closure)] = True
+        return supports, _pack_rows(closed)
 
     # ------------------------------------------------------------------
     # Single-itemset convenience wrappers (the pre-engine API shape)

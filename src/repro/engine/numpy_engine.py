@@ -5,9 +5,10 @@ each item's cover as a row of object bits, and (built on the first
 closure) each object's itemset as a row of item bits.  A whole batch of
 candidates is evaluated in four vectorised steps:
 
-1. **covers** — the candidates' item rows are gathered into one padded
-   index array and AND-reduced in bulk (``np.bitwise_and.reduce``), giving
-   the packed cover matrix (candidates × words) for the entire batch;
+1. **covers** — the candidates' item rows are gathered with one ``take``
+   over a padded index array and AND-reduced in bulk
+   (``np.bitwise_and.reduce``), giving the packed cover matrix
+   (candidates × words) for the entire batch;
 2. **supports** — one ``np.bitwise_count`` popcount over the cover words;
 3. **cover deduplication** — distinct cover rows are identified with a
    byte-key dict; on the correlated contexts of the paper a
@@ -17,9 +18,13 @@ candidates is evaluated in four vectorised steps:
    shared by every object of the cover ``g(X)``: the AND of the packed
    item rows of the cover's objects.  The object rows of every distinct
    cover are gathered in one pass and closed by one
-   ``np.bitwise_and.reduceat`` over the per-cover segments.  Each
-   distinct closure row is decoded into an :class:`Itemset` exactly once
-   and fanned back out through the inverse index.
+   ``np.bitwise_and.reduceat`` over the per-cover segments.  The
+   ``Itemset`` batch methods decode each distinct closure row exactly
+   once and fan it back out through the inverse index;
+   :meth:`NumpyClosureEngine.evaluate_level`, the level-wise miners'
+   entry point, takes its candidates as a column-index array, closes
+   only the rows whose support reaches its threshold and returns the
+   packed rows undecoded.
 
 A candidate with an empty cover has no segment; its closure is the full
 item universe — exactly the FCA convention of
@@ -60,6 +65,26 @@ def _gather_spans(
     if not executor.is_serial:
         chunk = min(chunk, executor.shard_size(n_rows))
     return shard_spans(n_rows, chunk)
+
+
+def _distinct_rows(words: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """``(unique, inverse)``: first rows of each distinct row, and the map back.
+
+    ``words[unique][inverse]`` equals ``words``.  A dict on the row bytes,
+    not ``np.unique``: that imports ``numpy.ma``, which then pins memory
+    for good.
+    """
+    seen: dict[bytes, int] = {}
+    inverse = np.empty(len(words), dtype=np.intp)
+    unique: list[int] = []
+    for r in range(len(words)):
+        key = words[r].tobytes()
+        position = seen.get(key)
+        if position is None:
+            position = seen[key] = len(unique)
+            unique.append(r)
+        inverse[r] = position
+    return unique, inverse
 
 
 class NumpyClosureEngine(ClosureEngine):
@@ -105,6 +130,8 @@ class NumpyClosureEngine(ClosureEngine):
         full[:n_objects] = 1
         self._full_words = np.packbits(full, bitorder="little").view(np.uint64)
         self._n_words = n_words
+        # The closure of an empty cover: every item bit set, tail zeroed.
+        self._universe_words = _pack_rows(np.ones((1, n_items), dtype=bool))[0]
 
     @property
     def _object_words(self) -> np.ndarray:
@@ -158,24 +185,45 @@ class NumpyClosureEngine(ClosureEngine):
         full[:n_objects] = 1
         clone._full_words = np.packbits(full, bitorder="little").view(np.uint64)
         clone._n_words = n_words
+        clone._universe_words = _pack_rows(np.ones((1, n_items), dtype=bool))[0]
         return clone
 
     # ------------------------------------------------------------------
     # Batched cover computation (packed)
     # ------------------------------------------------------------------
-    def _cover_words(self, col_lists: Sequence[list[int]]) -> np.ndarray:
-        """Return the packed cover matrix (candidates × uint64 words).
+    def _gather_covers(self, columns: np.ndarray) -> np.ndarray:
+        """Return the packed cover matrix (rows × uint64 words) of *columns*.
 
-        The candidates' item rows are padded (by cycling, AND-idempotent)
-        to a rectangular index array so one fancy-indexing gather plus one
-        ``bitwise_and`` reduction covers the entire batch.
+        Row ``r`` ANDs the packed item rows named by ``columns[r]``; one
+        ``take`` gathers a span of rows and one ``bitwise_and`` reduction
+        closes it.  A zero-width array covers every object.
         """
-        m = len(col_lists)
+        m, width = columns.shape
         out = np.empty((m, self._n_words), dtype=np.uint64)
-        width = max((len(cols) for cols in col_lists), default=0)
         if width == 0:
             out[:] = self._full_words
             return out
+        executor = get_executor(self._workers)
+
+        def gather(span: tuple[int, int]) -> None:
+            start, stop = span
+            gathered = self._item_words.take(columns[start:stop], axis=0)
+            np.bitwise_and.reduce(gathered, axis=1, out=out[start:stop])
+
+        executor.map(gather, _gather_spans(m, self._n_words * width, executor))
+        return out
+
+    def _cover_words(self, col_lists: Sequence[list[int]]) -> np.ndarray:
+        """Return the packed cover matrix of candidates given as column lists.
+
+        The lists are padded (by cycling, AND-idempotent) to one
+        rectangular index array for :meth:`_gather_covers`; an empty list
+        covers every object.
+        """
+        m = len(col_lists)
+        width = max((len(cols) for cols in col_lists), default=0)
+        if width == 0:
+            return self._gather_covers(np.zeros((m, 0), dtype=np.intp))
         index = np.empty((m, width), dtype=np.intp)
         empty_rows: list[int] = []
         for row, cols in enumerate(col_lists):
@@ -184,20 +232,13 @@ class NumpyClosureEngine(ClosureEngine):
             else:
                 empty_rows.append(row)
                 index[row] = 0
-        executor = get_executor(self._workers)
-
-        def gather(span: tuple[int, int]) -> None:
-            start, stop = span
-            gathered = self._item_words[index[start:stop]]
-            out[start:stop] = np.bitwise_and.reduce(gathered, axis=1)
-
-        executor.map(gather, _gather_spans(m, self._n_words * width, executor))
+        out = self._gather_covers(index)
         if empty_rows:
             out[empty_rows] = self._full_words
         return out
 
     def _close_covers(self, cover_words: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """``h`` of each packed cover row, as a 0/1 (rows × items) matrix.
+        """``h`` of each packed cover row, as packed item rows.
 
         Row ``r`` ANDs the item rows of the ``sizes[r]`` objects of cover
         ``r``; a cover without objects closes to the full item universe.
@@ -207,7 +248,8 @@ class NumpyClosureEngine(ClosureEngine):
         byte-identical to one pass.
         """
         object_words = self._object_words
-        closed = np.zeros((len(cover_words), object_words.shape[0]), dtype=np.uint64)
+        closed = np.empty((len(cover_words), object_words.shape[0]), dtype=np.uint64)
+        closed[sizes == 0] = self._universe_words
         executor = get_executor(self._workers)
 
         def close_rows(span: tuple[int, int]) -> None:
@@ -230,10 +272,7 @@ class NumpyClosureEngine(ClosureEngine):
             sizes.max(initial=0)
         )
         executor.map(close_rows, _gather_spans(len(closed), words_per_row, executor))
-        bits = np.unpackbits(closed.view(np.uint8), axis=1, bitorder="little")
-        bits = bits[:, : self._matrix.shape[1]]
-        bits[sizes == 0] = 1
-        return bits
+        return closed
 
     def _unpack_covers(self, cover_words: np.ndarray) -> np.ndarray:
         """Unpack packed cover rows into a boolean (rows × objects) matrix."""
@@ -248,6 +287,24 @@ class NumpyClosureEngine(ClosureEngine):
         if not candidates:
             return np.zeros((0, self._n_objects), dtype=bool)
         return self._unpack_covers(words)
+
+    def evaluate_level(
+        self, columns: np.ndarray, close_at: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Supports by popcount; closures of the rows reaching *close_at*.
+
+        See :meth:`ClosureEngine.evaluate_level`.  One cover gather serves
+        the whole level, and each distinct cover among the closed rows is
+        closed once.
+        """
+        cover_words = self._gather_covers(np.asarray(columns, dtype=np.intp))
+        supports = np.bitwise_count(cover_words).sum(axis=1, dtype=np.int64)
+        if close_at is None:
+            return supports, None
+        rows = np.flatnonzero(supports >= close_at)
+        unique, inverse = _distinct_rows(cover_words[rows])
+        rows = rows[unique]
+        return supports, self._close_covers(cover_words[rows], supports[rows])[inverse]
 
     # ------------------------------------------------------------------
     # Decoding helpers
@@ -266,20 +323,10 @@ class NumpyClosureEngine(ClosureEngine):
             return []
         cover_words = self._cover_words([self._columns(c) for c in itemsets])
         supports = np.bitwise_count(cover_words).sum(axis=1, dtype=np.intp)
-        # Dedup the covers: each distinct cover is closed and decoded once.
-        seen: dict[bytes, int] = {}
-        inverse = np.empty(len(itemsets), dtype=np.intp)
-        unique_rows: list[int] = []
-        for r in range(len(itemsets)):
-            key = cover_words[r].tobytes()
-            position = seen.get(key)
-            if position is None:
-                position = len(unique_rows)
-                seen[key] = position
-                unique_rows.append(r)
-            inverse[r] = position
-        closed = self._close_covers(cover_words[unique_rows], supports[unique_rows])
-        distinct = [self._decode_items(row) for row in closed]
+        unique, inverse = _distinct_rows(cover_words)
+        closed = self._close_covers(cover_words[unique], supports[unique])
+        bits = np.unpackbits(closed.view(np.uint8), axis=1, bitorder="little")
+        distinct = [self._decode_items(row) for row in bits[:, : len(self._items)]]
         return [
             (distinct[inverse[r]], int(supports[r])) for r in range(len(itemsets))
         ]

@@ -8,15 +8,19 @@ slow and obviously correct, they exist only to be compared with.
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.algorithms.base import MiningStatistics
 from repro.core.constants import EPSILON
 from repro.core.families import ClosedItemsetFamily, ItemsetFamily
 from repro.core.itemset import Itemset
 from repro.core.lattice import IcebergLattice
 from repro.core.order import OrderCore, pack_itemset_masks
 from repro.core.rules import AssociationRule, RuleSet
+from repro.data.context import TransactionDatabase
 
 
 def _reference_rules(frequent: ItemsetFamily, keep: Callable[[float], bool]) -> RuleSet:
@@ -160,3 +164,178 @@ def hasse_reduction(proper: np.ndarray) -> np.ndarray:
     """
     as_int = proper.astype(np.int64)
     return proper & ~((as_int @ as_int) > 0)
+
+
+# ----------------------------------------------------------------------
+# Level-wise miners: the Itemset loops the rank-array kernel replaced
+# ----------------------------------------------------------------------
+class MinerReference(NamedTuple):
+    """What a reference miner returns: everything the shipped miner exposes."""
+
+    family: ItemsetFamily
+    statistics: MiningStatistics
+    generators_by_closure: dict[Itemset, list[Itemset]]
+    generators: list[Itemset]
+
+
+def apriori_candidates_reference(level: list[Itemset]) -> list[Itemset]:
+    """Apriori's join and prune over itemset objects, one candidate at a time."""
+    frequent = set(level)
+    ordered = sorted(level)
+    candidates: list[Itemset] = []
+    by_prefix: dict[tuple, list[Itemset]] = {}
+    for itemset in ordered:
+        items = itemset.as_tuple()
+        by_prefix.setdefault(items[:-1], []).append(itemset)
+    for prefix_group in by_prefix.values():
+        for first, second in combinations(prefix_group, 2):
+            candidate = first.union(second)
+            if all(
+                subset in frequent
+                for subset in candidate.subsets_of_size(len(candidate) - 1)
+            ):
+                candidates.append(candidate)
+    return sorted(candidates)
+
+
+def apriori_reference(
+    database: TransactionDatabase,
+    minsup: float,
+    max_size: int | None = None,
+    engine: str | None = None,
+) -> MinerReference:
+    """Apriori's level loop over itemset objects and ``engine.supports``."""
+    evaluator = database.engine(engine)
+    threshold = database.minsup_count(minsup)
+    statistics = MiningStatistics(database_passes=1, levels=1)
+    supports: dict[Itemset, int] = {}
+    singles = [Itemset.of(item) for item in database.items]
+    statistics.candidates_generated += len(singles)
+    level: list[Itemset] = []
+    for itemset, count in zip(singles, evaluator.supports(singles)):
+        if count >= threshold:
+            supports[itemset] = count
+            level.append(itemset)
+    while level:
+        if max_size is not None and statistics.levels >= max_size:
+            break
+        candidates = apriori_candidates_reference(sorted(level))
+        if not candidates:
+            break
+        statistics.database_passes += 1
+        statistics.levels += 1
+        statistics.candidates_generated += len(candidates)
+        level = []
+        for candidate, count in zip(candidates, evaluator.supports(candidates)):
+            if count >= threshold:
+                supports[candidate] = count
+                level.append(candidate)
+    family = ItemsetFamily(supports, database.n_objects, minsup_count=threshold)
+    statistics.itemsets_found = len(family)
+    return MinerReference(family, statistics, {}, [])
+
+
+def close_reference(
+    database: TransactionDatabase, minsup: float, engine: str | None = None
+) -> MinerReference:
+    """Close's level loop: every candidate closed, redundancy tested per subset."""
+    evaluator = database.engine(engine)
+    threshold = database.minsup_count(minsup)
+    statistics = MiningStatistics()
+    closed_supports: dict[Itemset, int] = {}
+    generators_by_closure: dict[Itemset, list[Itemset]] = {}
+    closure_of_generator: dict[Itemset, Itemset] = {}
+    candidates = [Itemset.of(item) for item in database.items]
+    while candidates:
+        statistics.database_passes += 1
+        statistics.levels += 1
+        survivors: list[Itemset] = []
+        level = sorted(candidates)
+        statistics.candidates_generated += len(level)
+        for candidate, (closure, count) in zip(
+            level, evaluator.closures_and_supports(level)
+        ):
+            if count < threshold:
+                continue
+            survivors.append(candidate)
+            closure_of_generator[candidate] = closure
+            recorded = candidate
+            if count == database.n_objects and len(candidate) == 1:
+                recorded = Itemset.empty()
+            if closure not in closed_supports:
+                closed_supports[closure] = count
+                generators_by_closure[closure] = [recorded]
+            elif recorded not in generators_by_closure[closure]:
+                generators_by_closure[closure].append(recorded)
+        candidates = [
+            candidate
+            for candidate in apriori_candidates_reference(survivors)
+            if not any(
+                subset in closure_of_generator
+                and candidate.issubset(closure_of_generator[subset])
+                for subset in candidate.immediate_subsets()
+            )
+        ]
+    family = ClosedItemsetFamily(
+        closed_supports, database.n_objects, minsup_count=threshold
+    )
+    statistics.itemsets_found = len(family)
+    generators = {
+        closure: sorted(members) for closure, members in generators_by_closure.items()
+    }
+    return MinerReference(family, statistics, generators, [])
+
+
+def aclose_reference(
+    database: TransactionDatabase, minsup: float, engine: str | None = None
+) -> MinerReference:
+    """A-Close's level loop: generator test per subset, then one closure batch."""
+    evaluator = database.engine(engine)
+    threshold = database.minsup_count(minsup)
+    n_objects = database.n_objects
+    statistics = MiningStatistics(database_passes=1, levels=1)
+    generator_supports: dict[Itemset, int] = {}
+    level: dict[Itemset, int] = {}
+    singles = [Itemset.of(item) for item in database.items]
+    statistics.candidates_generated += len(singles)
+    for candidate, count in zip(singles, evaluator.supports(singles)):
+        if count >= threshold:
+            level[candidate] = count
+            generator_supports[candidate] = count
+    while level:
+        candidates = apriori_candidates_reference(sorted(level))
+        if not candidates:
+            break
+        statistics.database_passes += 1
+        statistics.levels += 1
+        statistics.candidates_generated += len(candidates)
+        next_level: dict[Itemset, int] = {}
+        for candidate, count in zip(candidates, evaluator.supports(candidates)):
+            if count < threshold:
+                continue
+            if all(
+                level.get(subset) not in (None, count)
+                for subset in candidate.immediate_subsets()
+            ):
+                next_level[candidate] = count
+                generator_supports[candidate] = count
+        level = next_level
+    statistics.database_passes += 1
+    closed_supports: dict[Itemset, int] = {}
+    generators_by_closure: dict[Itemset, list[Itemset]] = {}
+    ordered = sorted(generator_supports)
+    for generator, closure in zip(ordered, evaluator.closures(ordered)):
+        count = generator_supports[generator]
+        closed_supports.setdefault(closure, count)
+        recorded = generator
+        if count == n_objects and len(generator) == 1:
+            recorded = Itemset.empty()
+        bucket = generators_by_closure.setdefault(closure, [])
+        if recorded not in bucket:
+            bucket.append(recorded)
+    family = ClosedItemsetFamily(closed_supports, n_objects, minsup_count=threshold)
+    statistics.itemsets_found = len(family)
+    generators = {
+        closure: sorted(members) for closure, members in generators_by_closure.items()
+    }
+    return MinerReference(family, statistics, generators, ordered)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,8 @@ from repro import Apriori, TransactionDatabase
 from repro.algorithms.apriori import apriori_candidates
 from repro.core.itemset import Itemset
 from repro.errors import InvalidParameterError
+
+from oracles import apriori_candidates_reference
 
 
 def brute_force_frequent(db: TransactionDatabase, minsup: float) -> dict[Itemset, int]:
@@ -46,6 +49,22 @@ class TestCandidateGeneration:
 
     def test_empty_level(self):
         assert apriori_candidates([]) == []
+
+    def test_unsorted_level_with_integer_items(self):
+        level = [Itemset([2, 10]), Itemset([1, 10]), Itemset([1, 2])]
+        assert apriori_candidates(level) == [Itemset([1, 2, 10])]
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            apriori_candidates([Itemset("a"), Itemset("bc")])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_itemset_join(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(1, 4)
+        pool = [f"i{n}" for n in range(rng.randint(size, 9))]
+        level = list({Itemset(rng.sample(pool, size)) for _ in range(rng.randint(0, 40))})
+        assert apriori_candidates(level) == apriori_candidates_reference(level)
 
 
 class TestApriori:

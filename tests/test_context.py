@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import TransactionDatabase
+from repro import Apriori, TransactionDatabase
 from repro.core.itemset import Itemset
 from repro.errors import (
     EmptyDatabaseError,
@@ -175,6 +175,20 @@ class TestSupport:
     def test_minsup_count_rejects_out_of_range(self, toy_db):
         with pytest.raises(InvalidParameterError):
             toy_db.minsup_count(1.5)
+
+    def test_minsup_count_is_exact_where_the_product_rounds_up(self):
+        # 0.07 * 100 is 7.000000000000001 in floating point, yet 7/100 >= 0.07.
+        db = TransactionDatabase([["a"]] * 7 + [["b"]] * 93)
+        assert db.minsup_count(0.07) == 7
+        assert Apriori(0.07).mine(db).support_count(["a"]) == 7
+
+    def test_minsup_count_matches_its_definition(self):
+        for n in range(1, 201):
+            db = TransactionDatabase([[]] * n)
+            for k in range(n + 1):
+                minsup = k / n
+                smallest = next(c for c in range(1, n + 1) if c / n >= minsup)
+                assert db.minsup_count(minsup) == smallest, (n, k)
 
 
 class TestViewsAndRestriction:

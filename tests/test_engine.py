@@ -10,18 +10,21 @@ Four groups of guarantees:
   results on random contexts;
 * **cache behaviour** — LRU hits/misses/eviction of the shared closure
   cache;
-* **wiring** — the level-wise miners actually route whole candidate
-  levels through the engine batch entry points.
+* **wiring** — the level-wise miners route whole candidate levels
+  through the engine's level entry point, which agrees with the
+  ``Itemset`` batch methods.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import AClose, Apriori, Charm, Close, TransactionDatabase
+from repro.algorithms.levelwise import decode_packed
 from repro.core.itemset import Itemset
 from repro.engine import (
     DEFAULT_ENGINE,
@@ -62,9 +65,11 @@ def wide_context_and_batch(draw):
     """63/64/65 objects over 63/64/65 items, with batches of 1–8 candidates.
 
     Both packed axes of the numpy engine (object bits per item row, item
-    bits per object row) straddle a uint64 word boundary.
+    bits per object row) straddle a uint64 word boundary.  The cells come
+    from a seeded generator: drawn one by one, ~4,000 of them exceed
+    hypothesis's entropy budget and fail its data-size health check.
     """
-    rng = draw(st.randoms(use_true_random=False))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     pool = [f"i{k:02d}" for k in range(draw(st.sampled_from([63, 64, 65])))]
     n_objects = draw(st.sampled_from([63, 64, 65]))
     density = draw(st.sampled_from([0.05, 0.5, 0.95]))
@@ -324,43 +329,89 @@ class TestEngineSelection:
 # The miners actually use the batch entry points
 # ----------------------------------------------------------------------
 class TestMinersUseBatches:
-    def _record_batches(self, monkeypatch, engine, method_name):
-        calls: list[int] = []
-        original = getattr(engine, method_name)
+    """One ``evaluate_level`` batch per level; only Close and A-Close close."""
 
-        def recording(itemsets):
-            batch = list(itemsets)
-            calls.append(len(batch))
-            return original(batch)
+    def _record_levels(self, monkeypatch, engine):
+        calls: list[tuple[int, int | None]] = []
+        original = engine.evaluate_level
 
-        monkeypatch.setattr(engine, method_name, recording)
+        def recording(columns, close_at=None):
+            calls.append((len(columns), close_at))
+            return original(columns, close_at=close_at)
+
+        monkeypatch.setattr(engine, "evaluate_level", recording)
         return calls
 
     def test_close_batches_whole_levels(self, monkeypatch):
         db = make_random_db(31)
-        engine = db.engine()
-        calls = self._record_batches(monkeypatch, engine, "closures_and_supports")
-        Close(0.1).mine(db)
-        # One batch per level, each covering the full candidate level: far
-        # fewer calls than candidates evaluated.
-        assert calls and max(calls) > 1
-        assert calls[0] == db.n_items
+        calls = self._record_levels(monkeypatch, db.engine())
+        run = Close(0.1).run(db)
+        # One batch per level, each covering the full candidate level and
+        # closing its frequent candidates: far fewer calls than candidates.
+        assert len(calls) == run.statistics.levels
+        assert sum(rows for rows, _ in calls) == run.statistics.candidates_generated
+        assert calls[0][0] == db.n_items and max(rows for rows, _ in calls) > 1
+        threshold = db.minsup_count(0.1)
+        assert all(close_at == threshold for _, close_at in calls)
 
     def test_aclose_batches_supports_and_final_closures(self, monkeypatch):
         db = make_random_db(32)
-        engine = db.engine()
-        support_calls = self._record_batches(monkeypatch, engine, "supports")
-        closure_calls = self._record_batches(monkeypatch, engine, "closures")
-        AClose(0.1).mine(db)
-        assert support_calls and support_calls[0] == db.n_items
-        # Exactly one closure batch: the phase-2 pass over all generators.
-        assert len(closure_calls) == 1 and closure_calls[0] > 1
+        calls = self._record_levels(monkeypatch, db.engine())
+        miner = AClose(0.1)
+        run = miner.run(db)
+        assert calls[0] == (db.n_items, None)
+        # One support batch per level, then exactly one closure batch: the
+        # phase-2 pass over all generators.
+        assert len(calls) == run.statistics.levels + 1
+        assert all(close_at is None for _, close_at in calls[:-1])
+        assert calls[-1] == (len(miner.generators), db.minsup_count(0.1))
 
     def test_apriori_batches_support_counting(self, monkeypatch):
         db = make_random_db(33)
-        engine = db.engine()
-        calls = self._record_batches(monkeypatch, engine, "supports")
+        calls = self._record_levels(monkeypatch, db.engine())
         run = Apriori(0.1).run(db)
-        assert calls and calls[0] == db.n_items
-        # One supports batch per level.
+        assert calls and calls[0] == (db.n_items, None)
+        # One supports batch per level, none of them closing.
         assert len(calls) == run.statistics.levels
+        assert all(close_at is None for _, close_at in calls)
+
+    @pytest.mark.parametrize("miner", [Apriori(0.1), Close(0.1), AClose(0.1)])
+    def test_miners_leave_the_closure_cache_alone(self, miner):
+        db = make_random_db(34)
+        miner.run(db)
+        info = db.engine().cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+# ----------------------------------------------------------------------
+# The level entry point agrees with the Itemset batch methods
+# ----------------------------------------------------------------------
+class TestEvaluateLevel:
+    @pytest.mark.parametrize("engine_name", ["numpy", "bitset"])
+    @pytest.mark.parametrize("close_at", [None, 0, 1, 3])
+    def test_matches_itemset_batches(self, engine_name, close_at):
+        rng = random.Random(35)
+        rows = [
+            sorted({f"i{rng.randrange(66)}" for _ in range(rng.randint(0, 30))})
+            for _ in range(70)
+        ]
+        db = TransactionDatabase(rows)
+        engine = make_engine(db, engine_name, cache_size=0)
+        columns = np.random.default_rng(35).integers(0, db.n_items, size=(300, 3))
+        columns[:20, 1:] = columns[:20, :1]  # rows padded by repeating an item
+        itemsets = [Itemset(db.items[c] for c in row) for row in columns.tolist()]
+        supports, closures = engine.evaluate_level(columns, close_at=close_at)
+        assert supports.tolist() == engine.supports(itemsets)
+        if close_at is None:
+            assert closures is None
+            return
+        closed = np.flatnonzero(supports >= close_at)
+        expected = engine.closures([itemsets[r] for r in closed])
+        assert decode_packed(closures, db.items) == expected
+
+    @pytest.mark.parametrize("engine_name", ["numpy", "bitset"])
+    def test_empty_level(self, engine_name):
+        db = make_random_db(36)
+        engine = make_engine(db, engine_name)
+        supports, closures = engine.evaluate_level(np.zeros((0, 2), dtype=np.intp), 1)
+        assert supports.shape == (0,) and closures.shape[0] == 0
