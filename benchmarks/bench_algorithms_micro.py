@@ -40,7 +40,11 @@ from repro.engine import make_engine
 from repro.experiments.harness import mine_itemsets
 from repro.recommend import Recommender
 
-from oracles import hasse_edges_reference
+from oracles import (
+    hasse_edges_reference,
+    informative_rules_reference,
+    luxenburger_rules_reference,
+)
 
 MINSUP = 0.5
 
@@ -179,10 +183,11 @@ def test_engine_rule_materialization(benchmark, rule_dense):
 def test_rule_materialization_object_baseline(benchmark, rule_dense):
     """The pre-columnar object pipeline on the same workload (baseline).
 
-    Materialises every rule through the kept ``iter_rules_reference``
-    oracles into a plain ``RuleSet`` — one ``AssociationRule`` plus two
-    Itemset set operations per rule.  Single round (it is two orders of
-    magnitude slower than the columnar path); not gated.
+    Materialises every rule through the per-rule oracles of
+    ``tests/oracles.py`` into a plain ``RuleSet`` — one
+    ``AssociationRule`` plus two Itemset set operations per rule.  Single
+    round (it is two orders of magnitude slower than the columnar path);
+    not gated.
     """
     closed, generators, lattice = rule_dense
     luxenburger = LuxenburgerBasis(
@@ -193,8 +198,10 @@ def test_rule_materialization_object_baseline(benchmark, rule_dense):
     )
 
     def build() -> int:
-        return len(RuleSet(luxenburger.iter_rules_reference())) + len(
-            RuleSet(informative.iter_rules_reference())
+        return len(
+            RuleSet(luxenburger_rules_reference(lattice, 0.0, reduced=False))
+        ) + len(
+            RuleSet(informative_rules_reference(generators, lattice, 0.0, reduced=False))
         )
 
     total = benchmark.pedantic(build, rounds=1, iterations=1)
@@ -351,9 +358,10 @@ def test_store_roundtrip_rule_dense(benchmark, rule_dense, tmp_path):
     """NPZ save + load of families, order core and a ~50k-rule basis.
 
     Times one full persist/rehydrate cycle of the artifact store on the
-    rule-dense workload — the mine-once/serve-many path.  Not gated (disk
-    I/O dominates and varies by runner); tracked in the trajectory
-    artifact.
+    rule-dense workload — the mine-once/serve-many path.  The built basis
+    is saved with its row pairs, as ``repro save`` writes it, so the load
+    re-assembles its columns.  Not gated (disk I/O dominates and varies
+    by runner); tracked in the trajectory artifact.
     """
     from repro.store import load_run, save_run
 
@@ -371,11 +379,34 @@ def test_store_roundtrip_rule_dense(benchmark, rule_dense, tmp_path):
             generators=generators,
             lattice=lattice,
             rule_arrays={"luxenburger": arrays},
+            row_pairs={"luxenburger": luxenburger.row_pairs},
         )
         return len(load_run(path).rule_arrays["luxenburger"])
 
     total = benchmark(roundtrip)
     assert total == len(arrays)
+
+
+def test_store_save_all_basis(benchmark, mined, tmp_path):
+    """Save + load of MUSHROOM* at 0.45/0.7 with the default bases (advisory).
+
+    The naive ``all`` basis (141,128 rules) dominates the rule count; as
+    row pairs into the stored frequent family the whole store stays
+    under 0.25 MiB.  Not gated.
+    """
+    from repro.experiments.harness import build_rule_artifacts, save_artifacts
+    from repro.store import load_run
+
+    mining = mine_itemsets(mined.database, 0.45)
+    artifacts = build_rule_artifacts(mining, minconf=0.7)
+    path = tmp_path / "all.npz"
+
+    def roundtrip() -> int:
+        save_artifacts(path, mining, artifacts)
+        return len(load_run(path).rule_arrays["all"])
+
+    assert benchmark(roundtrip) == len(artifacts["all"].rules) == 141_128
+    assert path.stat().st_size < 0.25 * 1024 * 1024
 
 
 def test_closure_computation(benchmark, mushroom):

@@ -19,9 +19,10 @@ packed once in canonical order (:meth:`ItemsetFamily.packed
   mask rows and the confidence window is applied to the whole candidate
   column.  The work is output-sensitive: ``Σ (2^|Z| - 2)`` lookups, not
   a pairwise subset scan of the family;
-* **emission** — the kept ``(Z, X)`` row pairs are gathered into
-  :class:`~repro.core.rulearrays.RuleArrays` columns in streamed row
-  blocks, as the Luxenburger emitter does.
+* **emission** — the kept ``(X, Z)`` row pairs are assembled into
+  :class:`~repro.core.rulearrays.RuleArrays` columns by the assembler
+  every basis shares,
+  :meth:`~repro.core.rulearrays.RuleArrays.from_row_pairs`.
 
 Rows come out in row-major ``(Z, X)`` order, which is the order of the
 classical per-rule loop, and the columns are packed over the items the
@@ -46,7 +47,7 @@ from ..core.bitmatrix import BitMatrix
 from ..core.constants import EPSILON
 from ..core.families import ItemsetFamily
 from ..core.parallel import get_executor
-from ..core.rulearrays import RuleArrays, relative_supports, resolve_block_rows
+from ..core.rulearrays import RowPairs, RuleArrays, resolve_block_rows, used_universe
 from ..core.rules import RuleSet
 from ..errors import InvalidParameterError
 
@@ -140,51 +141,44 @@ def _select(
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _emit(
+def _naive_rules(
     frequent: ItemsetFamily,
-    z_rows: np.ndarray,
-    x_rows: np.ndarray,
-    confidences: np.ndarray,
-    block_rows: int | None,
-    workers: int | None,
-) -> RuleSet:
-    """The selected rules as columns over the items they use, streamed.
+    minconf: float,
+    kind: str = "all",
+    *,
+    block_rows: int | None = None,
+    workers: int | None = None,
+) -> tuple[RuleSet, RowPairs]:
+    """One naive rule set and the ``(X, Z)`` frequent rows it was assembled from.
 
-    Each row block gathers ``X`` and ``Z`` mask rows of the family
-    (projected onto the rules' items) and AND-NOTs them into the
-    consequents, as :class:`~repro.core.luxenburger.LuxenburgerBasis`
-    does for closed pairs.
+    *kind* is ``"all"`` (every rule above *minconf*), ``"exact"`` (the
+    confidence-1 rules; *minconf* is ignored) or ``"approximate"``
+    (confidence in ``[minconf, 1)``, split off the selection before any
+    column is emitted).  The columns are packed over the items the rules
+    use; ``block_rows`` and ``workers`` drive both passes and never
+    change the output.
     """
+    if kind == "exact":
+        minconf = 1.0
+    _validate_minconf(minconf)
+    z_rows, x_rows, confidences = _select(frequent, minconf, block_rows, workers)
+    if kind == "approximate":
+        keep = confidences < 1.0 - EPSILON
+        z_rows, x_rows = z_rows[keep], x_rows[keep]
     packed = frequent.packed()
-    in_rule = np.zeros(len(packed.members), dtype=bool)
-    in_rule[z_rows] = True
-    used = np.bitwise_or.reduce(packed.matrix.words[in_rule], axis=0)
-    columns = BitMatrix(used[None, :], packed.matrix.n_cols).row_indices(0)
-    universe = tuple(packed.universe[column] for column in columns)
-    masks = packed.matrix.take_columns(columns).words
-    n_objects = frequent.n_objects
-    block = resolve_block_rows(block_rows, masks.shape[1])
-
-    def assemble(start: int) -> RuleArrays:
-        rows = slice(start, start + block)
-        antecedents = masks[x_rows[rows]]
-        support_counts = packed.counts[z_rows[rows]]
-        return RuleArrays(
-            BitMatrix(antecedents, len(universe)),
-            BitMatrix(masks[z_rows[rows]] & ~antecedents, len(universe)),
-            universe,
-            relative_supports(support_counts, n_objects),
-            confidences[rows],
-            support_counts,
-        )
-
-    arrays = RuleArrays.from_blocks(
-        get_executor(workers).imap(assemble, range(0, len(z_rows), block)),
-        universe,
-        n_rows=len(z_rows),
+    arrays = RuleArrays.from_row_pairs(
+        packed,
+        x_rows,
+        packed,
+        z_rows,
+        used_universe(packed, z_rows),
+        frequent.n_objects,
+        block_rows=block_rows,
+        workers=workers,
     )
     # Keys are unique by construction: Z = X ∪ (Z \ X) identifies the pair.
-    return RuleSet.from_arrays(arrays, assume_unique=True)
+    rules = RuleSet.from_arrays(arrays, assume_unique=True)
+    return rules, RowPairs(frequent, x_rows, frequent, z_rows)
 
 
 def generate_all_rules(
@@ -217,9 +211,7 @@ def generate_all_rules(
         All rules ``X → Y`` with non-empty, disjoint sides, ``X ∪ Y``
         frequent and ``confidence ≥ minconf``, as an array-backed set.
     """
-    _validate_minconf(minconf)
-    selection = _select(frequent, minconf, block_rows, workers)
-    return _emit(frequent, *selection, block_rows, workers)
+    return _naive_rules(frequent, minconf, block_rows=block_rows, workers=workers)[0]
 
 
 def generate_exact_rules(
@@ -233,9 +225,9 @@ def generate_exact_rules(
     A rule ``X → Y`` is exact iff ``support(X ∪ Y) = support(X)``, i.e. the
     antecedent never occurs without the consequent.
     """
-    return generate_all_rules(
-        frequent, minconf=1.0, block_rows=block_rows, workers=workers
-    )
+    return _naive_rules(
+        frequent, 1.0, "exact", block_rows=block_rows, workers=workers
+    )[0]
 
 
 def generate_approximate_rules(
@@ -250,9 +242,6 @@ def generate_approximate_rules(
     The exact rules are split off the selection before any column is
     emitted, not generated and filtered afterwards.
     """
-    _validate_minconf(minconf)
-    z_rows, x_rows, confidences = _select(frequent, minconf, block_rows, workers)
-    keep = confidences < 1.0 - EPSILON
-    return _emit(
-        frequent, z_rows[keep], x_rows[keep], confidences[keep], block_rows, workers
-    )
+    return _naive_rules(
+        frequent, minconf, "approximate", block_rows=block_rows, workers=workers
+    )[0]

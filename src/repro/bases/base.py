@@ -28,6 +28,7 @@ from typing import Protocol, runtime_checkable
 from ..core.families import ClosedItemsetFamily, ItemsetFamily
 from ..core.generators import GeneratorFamily
 from ..core.lattice import IcebergLattice
+from ..core.rulearrays import RowPairs
 from ..core.rules import RuleSet
 from ..errors import InvalidParameterError
 
@@ -58,11 +59,11 @@ class BasisContext:
         do not pay for (or validate) the generators unless one is
         actually selected.
     block_rows:
-        Row-block size of the streamed column assembly used by the
-        expanding bases (Luxenburger / informative).  ``None`` lets each
-        builder pick the auto size from the shared working-set budget;
-        an explicit positive integer forces that block size.  Streamed
-        and one-shot builds are byte-identical, so this is purely a
+        Row-block size of the streamed column assembly every basis goes
+        through (and of the naive bases' selection pass).  ``None`` lets
+        each builder pick the auto size from the shared working-set
+        budget; an explicit positive integer forces that block size.
+        Built bases are byte-identical for any size, so this is purely a
         peak-memory knob.
     workers:
         Worker count for the sharded kernels (shared lattice
@@ -146,6 +147,10 @@ class BuiltBasis:
     metadata:
         Construction metadata (lattice shape, pseudo-closed counts, …)
         surfaced by the reduction reports.
+    row_pairs:
+        The rules as rows of the families they were built from
+        (:class:`~repro.core.rulearrays.RowPairs`), which is how the
+        store writes them; ``None`` when the rules are not such pairs.
     """
 
     name: str
@@ -153,6 +158,7 @@ class BuiltBasis:
     rules: RuleSet
     source: object = None
     metadata: dict[str, object] = field(default_factory=dict)
+    row_pairs: RowPairs | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:

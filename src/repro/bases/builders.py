@@ -13,11 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from ..algorithms.rule_generation import (
-    generate_all_rules,
-    generate_approximate_rules,
-    generate_exact_rules,
-)
+from ..algorithms.rule_generation import _naive_rules
 from ..core.dg_basis import build_duquenne_guigues_basis
 from ..core.informative import GenericBasis, InformativeBasis
 from ..core.luxenburger import LuxenburgerBasis
@@ -54,24 +50,26 @@ def _built(basis: TableBasis, construction) -> BuiltBasis:
         rules=construction.rules,
         source=construction,
         metadata=construction.metadata,
+        row_pairs=construction.row_pairs,
     )
 
 
 def _naive(basis: TableBasis, context: BasisContext) -> BuiltBasis:
     """Every valid rule, or its exact or approximate split (by kind)."""
     frequent = context.require_frequent(basis.name)
-    knobs = {"block_rows": context.block_rows, "workers": context.workers}
-    if basis.kind == "exact":
-        rules = generate_exact_rules(frequent, **knobs)
-    elif basis.kind == "approximate":
-        rules = generate_approximate_rules(frequent, context.minconf, **knobs)
-    else:
-        rules = generate_all_rules(frequent, context.minconf, **knobs)
+    rules, row_pairs = _naive_rules(
+        frequent,
+        context.minconf,
+        basis.kind,
+        block_rows=context.block_rows,
+        workers=context.workers,
+    )
     return BuiltBasis(
         name=basis.name,
         kind=basis.kind,
         rules=rules,
         metadata={"frequent_itemsets": len(frequent)},
+        row_pairs=row_pairs,
     )
 
 

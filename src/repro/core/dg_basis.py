@@ -22,16 +22,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .bitmatrix import BitMatrix
+from ..errors import InvalidParameterError
 from .families import ClosedItemsetFamily, ItemsetFamily
 from .itemset import Itemset
 from .pseudo_closed import PseudoClosedItemset, frequent_pseudo_closed_itemsets
-from .rulearrays import (
-    RuleArrays,
-    pack_itemsets_into,
-    relative_supports,
-    sorted_universe,
-)
+from .rulearrays import RowPairs, RuleArrays, sorted_universe
 from .rules import AssociationRule, RuleSet
 
 __all__ = ["DuquenneGuiguesBasis", "build_duquenne_guigues_basis"]
@@ -45,57 +40,58 @@ class DuquenneGuiguesBasis:
     pseudo_closed:
         The frequent pseudo-closed itemsets with their closures and
         supports (one rule per entry).
-    n_objects:
-        Number of objects of the originating database (to express rule
-        supports relatively).
+    frequent, closed:
+        The families the pseudo-closed sets and their closures were
+        taken from; every record must be a member (``∅`` aside, which is
+        antecedent row ``-1``).  Rule supports are relative to
+        ``frequent.n_objects``.
+
+    Attributes
+    ----------
+    row_pairs:
+        The rules as frequent rows and closed rows
+        (:class:`~repro.core.rulearrays.RowPairs`).
     """
 
     def __init__(
         self,
         pseudo_closed: list[PseudoClosedItemset],
-        n_objects: int,
+        frequent: ItemsetFamily,
+        closed: ClosedItemsetFamily,
     ) -> None:
         self._pseudo_closed = sorted(pseudo_closed, key=lambda p: p.itemset)
-        self._n_objects = n_objects
-        self._rules = RuleSet.from_arrays(self._build_arrays())
+        self._n_objects = frequent.n_objects
+        self._rules = RuleSet.from_arrays(self._build_arrays(frequent, closed))
 
-    def _build_arrays(self) -> RuleArrays:
-        """One rule column per pseudo-closed record, packed in one pass.
-
-        The antecedents are the pseudo-closed itemsets themselves and the
-        consequents ``h(P) \\ P`` — a single AND-NOT over the two packed
-        mask blocks; no per-rule Python object is built.
-        """
+    def _build_arrays(
+        self, frequent: ItemsetFamily, closed: ClosedItemsetFamily
+    ) -> RuleArrays:
+        """One rule ``P → h(P) \\ P`` per pseudo-closed record, as row pairs."""
         entries = self._pseudo_closed
+        x_rows = frequent.packed().rows_of(entry.itemset for entry in entries)
+        z_rows = closed.packed().rows_of(entry.closure for entry in entries)
+        # Row -1 is only the ∅ marker: every other P and every h(P) must
+        # be a member.
+        nonempty = np.array([len(entry.itemset) > 0 for entry in entries], dtype=bool)
+        absent = (z_rows < 0) | (nonempty & (x_rows < 0))
+        if absent.any():
+            entry = entries[int(np.argmax(absent))]
+            raise InvalidParameterError(
+                f"pseudo-closed {entry.itemset} or its closure {entry.closure} "
+                "is not a member of the frequent or closed family"
+            )
+        self.row_pairs = RowPairs(frequent, x_rows, closed, z_rows)
         universe = sorted_universe(
             item for entry in entries for item in entry.closure
         )
-        antecedents = pack_itemsets_into([entry.itemset for entry in entries], universe)
-        closures = pack_itemsets_into([entry.closure for entry in entries], universe)
-        counts = np.array([entry.support_count for entry in entries], dtype=np.int64)
-        return RuleArrays(
-            antecedents,
-            BitMatrix(closures.words & ~antecedents.words, len(universe)),
+        return RuleArrays.from_row_pairs(
+            frequent.packed(),
+            x_rows,
+            closed.packed(),
+            z_rows,
             universe,
-            relative_supports(counts, self._n_objects),
-            np.ones(len(entries), dtype=np.float64),
-            counts,
+            self._n_objects,
         )
-
-    def iter_rules_reference(self) -> Iterator[AssociationRule]:
-        """The pre-columnar object pipeline (oracle for tests/benchmarks)."""
-        for entry in self._pseudo_closed:
-            consequent = entry.closure.difference(entry.itemset)
-            support = (
-                entry.support_count / self._n_objects if self._n_objects else 0.0
-            )
-            yield AssociationRule(
-                antecedent=entry.itemset,
-                consequent=consequent,
-                support=support,
-                confidence=1.0,
-                support_count=entry.support_count,
-            )
 
     # ------------------------------------------------------------------
     # Accessors
@@ -203,4 +199,4 @@ def build_duquenne_guigues_basis(
         itemset ``P``.
     """
     pseudo = frequent_pseudo_closed_itemsets(frequent, closed)
-    return DuquenneGuiguesBasis(pseudo, n_objects=frequent.n_objects)
+    return DuquenneGuiguesBasis(pseudo, frequent, closed)

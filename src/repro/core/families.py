@@ -18,7 +18,9 @@ property-based tests.
 
 from __future__ import annotations
 
+import operator
 import threading
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from typing import NamedTuple
 
@@ -42,6 +44,19 @@ class PackedFamily(NamedTuple):
     matrix: BitMatrix
     #: Read-only int64 absolute supports aligned with :attr:`members`.
     counts: np.ndarray
+
+    def rows_of(self, itemsets: Iterable[Itemset]) -> np.ndarray:
+        """The row of each itemset in :attr:`members`, ``-1`` where absent.
+
+        Bisects the canonical member order, so a lookup costs
+        ``O(log n)`` itemset comparisons and no index is built.
+        """
+        members = self.members
+        rows = []
+        for itemset in itemsets:
+            row = bisect_left(members, itemset)
+            rows.append(row if row < len(members) and members[row] == itemset else -1)
+        return np.array(rows, dtype=np.int64)
 
 
 class ItemsetFamily:
@@ -84,6 +99,37 @@ class ItemsetFamily:
 
     #: Lazily built packed form (see :meth:`packed`).
     _packed: PackedFamily | None = None
+
+    @classmethod
+    def from_packed(
+        cls, packed: PackedFamily, n_objects: int, minsup_count: int = 1
+    ) -> "ItemsetFamily":
+        """A family rebuilt from packed rows (as a store holds it).
+
+        The rows become the family's :meth:`packed` form, with no sort
+        and no re-packing, when they are what :meth:`packed` would
+        build: members strictly increasing in canonical order, over a
+        sorted universe whose every item is used.  Other rows still give
+        the family; it then packs itself on first use.
+        """
+        from .rulearrays import sorted_universe, used_universe
+
+        members = packed.members
+        family = cls(
+            zip(members, packed.counts.tolist()),
+            n_objects=n_objects,
+            minsup_count=minsup_count,
+        )
+        if (
+            len(family) == len(members)
+            and all(map(operator.lt, members, members[1:]))
+            and packed.universe == sorted_universe(packed.universe)
+            and used_universe(packed, np.arange(len(members))) == packed.universe
+        ):
+            packed.matrix.words.setflags(write=False)
+            packed.counts.setflags(write=False)
+            family._packed = packed
+        return family
 
     #: Guards the lazy packing, like ``ClosedItemsetFamily._closure_index_lock``.
     _packed_lock = threading.Lock()
@@ -129,6 +175,8 @@ class ItemsetFamily:
 
     def itemsets(self) -> list[Itemset]:
         """Return the itemsets sorted in the canonical (size, lexicographic) order."""
+        if self._packed is not None:
+            return list(self._packed.members)
         return sorted(self._supports)
 
     def items_with_supports(self) -> Iterator[tuple[Itemset, int]]:

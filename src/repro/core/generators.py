@@ -23,18 +23,38 @@ helpers used in tests.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Iterable, Mapping
+from typing import NamedTuple
+
+import numpy as np
 
 from ..data.context import TransactionDatabase
 from ..errors import InvalidParameterError
+from .bitmatrix import BitMatrix
 from .families import ClosedItemsetFamily
 from .itemset import Item, Itemset
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .bitmatrix import BitMatrix
+__all__ = [
+    "GeneratorFamily",
+    "PackedGenerators",
+    "is_minimal_generator",
+    "minimal_generators_brute_force",
+]
 
-__all__ = ["GeneratorFamily", "is_minimal_generator", "minimal_generators_brute_force"]
+
+class PackedGenerators(NamedTuple):
+    """The generators as packed rows (see :meth:`GeneratorFamily.packed`)."""
+
+    #: The generators in enumeration order.
+    members: list[Itemset]
+    #: The closed family's packed universe.
+    universe: tuple[Item, ...]
+    #: One read-only mask row per generator, over :attr:`universe`.
+    matrix: BitMatrix
+    #: Each generator's support: its closure's count.
+    counts: np.ndarray
+    #: Each generator's closure as a row of the closed family's ``packed()``.
+    closure_rows: np.ndarray
 
 
 def is_minimal_generator(database: TransactionDatabase, itemset: Itemset) -> bool:
@@ -143,39 +163,39 @@ class GeneratorFamily:
             generators.update(group)
         return sorted(generators)
 
-    def packed_masks(
-        self, universe: Sequence[Item] | None = None
-    ) -> tuple["BitMatrix", list[Itemset], tuple[Item, ...]]:
-        """Pack every recorded ``(closure, generator)`` pair into mask rows.
+    #: Lazily built packed form (see :meth:`packed`).
+    _packed: PackedGenerators | None = None
 
-        Returns ``(generator_matrix, closures, universe)``: row ``i`` of
-        the :class:`~repro.core.bitmatrix.BitMatrix` is the packed item
-        mask of the ``i``-th generator in the canonical enumeration order
-        (closures sorted canonically, each closure's generators in their
-        stored sorted order), and ``closures[i]`` is the closure that
-        generator belongs to.  Bit ``j`` of a row refers to
-        ``universe[j]``; when *universe* is omitted it is derived from
-        the closures (every generator is a subset of its closure, so the
-        closure items always suffice).  Passing the iceberg lattice's
-        :attr:`~repro.core.lattice.IcebergLattice.item_universe` makes
-        the rows directly composable with the lattice's member masks —
-        that is how the array-native informative/generic bases assemble
-        their antecedent columns in one gather.
+    def packed(self) -> PackedGenerators:
+        """Every recorded generator packed once over the closed family's items.
+
+        Rows enumerate the closures in canonical order and each closure's
+        generators in their stored sorted order; bit ``j`` of a row is
+        ``universe[j]`` of the closed family's
+        :meth:`~repro.core.families.ItemsetFamily.packed` rows, so the
+        rows compose directly with the closed masks (every generator is a
+        subset of its closure).  Built on first use and cached; the
+        generic and informative emitters and the store read it.
         """
-        from .rulearrays import pack_itemsets_into, sorted_universe
+        if self._packed is None:
+            from .rulearrays import pack_itemsets_into
 
-        pairs: list[tuple[Itemset, Itemset]] = [
-            (closed, generator)
-            for closed in self.closed_itemsets()
-            for generator in self.generators_of(closed)
-        ]
-        if universe is None:
-            universe = sorted_universe(
-                item for closed, _ in pairs for item in closed
+            closed = self._closed_family.packed()
+            pairs = [
+                (closure, generator)
+                for closure in self.closed_itemsets()
+                for generator in self.generators_of(closure)
+            ]
+            members = [generator for _, generator in pairs]
+            matrix = pack_itemsets_into(members, closed.universe)
+            closure_rows = closed.rows_of(closure for closure, _ in pairs)
+            counts = closed.counts[closure_rows]
+            for array in (matrix.words, closure_rows, counts):
+                array.setflags(write=False)
+            self._packed = PackedGenerators(
+                members, closed.universe, matrix, counts, closure_rows
             )
-        universe = tuple(universe)
-        matrix = pack_itemsets_into([generator for _, generator in pairs], universe)
-        return matrix, [closed for closed, _ in pairs], universe
+        return self._packed
 
     def proper_generators_of(self, closed: Itemset | Iterable) -> tuple[Itemset, ...]:
         """Return the generators of *closed* that differ from *closed* itself.

@@ -28,7 +28,7 @@ from ..errors import InvalidParameterError
 from .constants import EPSILON
 from .families import ClosedItemsetFamily
 from .itemset import Itemset
-from .order import OrderCore, pack_itemset_masks
+from .order import OrderCore
 
 __all__ = ["IcebergLattice"]
 
@@ -80,24 +80,20 @@ class IcebergLattice:
         retain_containment: bool = True,
     ) -> None:
         self._closed = closed
-        members = closed.itemsets()
+        # The family's own packed rows (read-only, shared with the rule
+        # emitters and the store): members, masks and supports.
+        packed = closed.packed()
+        members = packed.members
         self._members: list[Itemset] = members
         self._index: dict[Itemset, int] = {
             member: position for position, member in enumerate(members)
         }
-        self._supports = np.array(
-            [closed.support_count(member) for member in members], dtype=np.int64
-        )
-        masks, universe = pack_itemset_masks(members)
-        # The packed member masks are retained (O(n x words) — negligible
-        # next to the order core) because the array-native rule builders
-        # assemble antecedent/consequent mask rows straight from them.
-        self._masks = masks
-        self._masks.setflags(write=False)
-        self._universe: tuple = tuple(universe)
+        self._supports = packed.counts
+        self._masks = packed.matrix.words
+        self._universe: tuple = packed.universe
         if order_core is None:
             order_core = OrderCore(
-                masks, workers=workers, retain_containment=retain_containment
+                self._masks, workers=workers, retain_containment=retain_containment
             )
         elif order_core.n != len(members):
             raise InvalidParameterError(
@@ -106,11 +102,6 @@ class IcebergLattice:
             )
         self._core = order_core
         self._hasse_rows, self._hasse_cols = self._core.hasse_indices()
-        # The index/support arrays are handed out to the basis
-        # constructions; freeze them so a consumer cannot corrupt the
-        # lattice shared through a BasisContext.  (The core freezes its
-        # own edge arrays.)
-        self._supports.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Accessors

@@ -15,29 +15,21 @@ closed-set pair is the product of the edge confidences along a path.
 
 This module builds both variants directly from the lattice's precomputed
 edge and confidence arrays: one vectorised threshold pass selects the
-surviving pairs, and the rules themselves are assembled as a columnar
-:class:`~repro.core.rulearrays.RuleArrays` by gathering antecedent /
-consequent mask rows straight from the lattice's packed member masks —
-no per-rule Python object is built unless a caller iterates the rule
-set.  The pre-columnar per-pair loop is kept as
-:meth:`LuxenburgerBasis.iter_rules_reference`, the oracle the
-equivalence tests and the rule-materialisation benchmark compare
-against.
+surviving ``(C1, C2)`` pairs of closed rows, and
+:meth:`~repro.core.rulearrays.RuleArrays.from_row_pairs` assembles them
+into columns — no per-rule Python object is built unless a caller
+iterates the rule set.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-import numpy as np
-
 from ..errors import InvalidParameterError
-from .bitmatrix import BitMatrix
 from .families import ClosedItemsetFamily
 from .itemset import Itemset
 from .lattice import IcebergLattice
-from .parallel import get_executor
-from .rulearrays import RuleArrays, relative_supports, resolve_block_rows
+from .rulearrays import RowPairs, RuleArrays
 from .rules import AssociationRule, RuleSet
 
 __all__ = ["LuxenburgerBasis", "build_luxenburger_basis"]
@@ -69,8 +61,7 @@ class LuxenburgerBasis:
         default) sizes the blocks from the shared working-set budget so
         peak *mask* memory beyond the finished columns stays constant
         however many rules the basis holds; any positive integer forces
-        that block size.  The streamed build is byte-identical to the
-        kept one-shot path (:meth:`_build_arrays_materialized`).
+        that block size.  The built basis is byte-identical for any size.
     workers:
         Worker count for the sharded block assembly (and the lattice
         construction when the basis builds its own lattice); ``None``
@@ -78,7 +69,15 @@ class LuxenburgerBasis:
         serial.  Blocks are consumed in submission order with bounded
         prefetch, so the built basis is byte-identical for any worker
         count and the streamed-memory bound still holds.
+
+    Attributes
+    ----------
+    row_pairs:
+        The rules as ``(C1, C2)`` closed rows
+        (:class:`~repro.core.rulearrays.RowPairs`), in row order.
     """
+
+    row_pairs: RowPairs
 
     def __init__(
         self,
@@ -116,117 +115,22 @@ class LuxenburgerBasis:
     # Construction
     # ------------------------------------------------------------------
     def _build_arrays(self) -> RuleArrays:
-        """Assemble the basis as columns, streamed in bounded row blocks.
-
-        The surviving ``(smaller, larger)`` pairs are expanded in blocks
-        of ``block_rows`` rules: each block gathers its antecedent rows
-        from the lattice's packed member masks, AND-NOTs the larger
-        members' masks into consequents, and is written straight into the
-        preallocated output columns — beyond the finished columns only
-        one block of mask temporaries is ever live.
-        """
-        lattice = self._lattice
-        universe = lattice.item_universe
-        rows, cols, confidences = lattice.confidence_window_pairs(
+        """Assemble the surviving ``(smaller, larger)`` pairs, streamed in blocks."""
+        rows, cols, _ = self._lattice.confidence_window_pairs(
             self._minconf, reduced=self._reduced
         )
-        block = resolve_block_rows(self._block_rows, lattice.member_masks().shape[1])
-        executor = get_executor(self._workers)
-
-        def assemble(start: int) -> RuleArrays:
-            return self._array_block(rows, cols, confidences, start, block)
-
-        # Ordered imap with bounded prefetch: workers assemble blocks
-        # ahead of the consumer while from_blocks writes them in
-        # submission order — byte-identical to the serial stream.
-        return RuleArrays.from_blocks(
-            executor.imap(assemble, range(0, len(rows), block)),
-            universe,
-            n_rows=len(rows),
+        self.row_pairs = RowPairs(self._closed, rows, self._closed, cols)
+        packed = self._closed.packed()
+        return RuleArrays.from_row_pairs(
+            packed,
+            rows,
+            packed,
+            cols,
+            self._lattice.item_universe,
+            self._closed.n_objects,
+            block_rows=self._block_rows,
+            workers=self._workers,
         )
-
-    def _array_block(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        confidences: np.ndarray,
-        start: int,
-        block_rows: int,
-    ) -> RuleArrays:
-        """One bounded row block of the basis columns.
-
-        Reads only shared immutable inputs, so blocks can be assembled
-        on any worker in any order; the consumer reassembles them by
-        submission order.
-        """
-        lattice = self._lattice
-        masks = lattice.member_masks()
-        universe = lattice.item_universe
-        counts = lattice.support_counts()
-        n_objects = self._closed.n_objects
-        sl = slice(start, start + block_rows)
-        antecedents = masks[rows[sl]]
-        consequents = masks[cols[sl]] & ~antecedents
-        larger_counts = counts[cols[sl]]
-        return RuleArrays(
-            BitMatrix(antecedents, len(universe)),
-            BitMatrix(consequents, len(universe)),
-            universe,
-            relative_supports(larger_counts, n_objects),
-            confidences[sl].copy(),
-            larger_counts,
-        )
-
-    def _build_arrays_materialized(self) -> RuleArrays:
-        """The pre-streaming one-shot column assembly (oracle for tests).
-
-        Gathers every antecedent/consequent row in one shot; kept so the
-        equivalence tests can assert the streamed build byte-identical.
-        """
-        lattice = self._lattice
-        rows, cols, confidences = lattice.confidence_window_pairs(
-            self._minconf, reduced=self._reduced
-        )
-        masks = lattice.member_masks()
-        universe = lattice.item_universe
-        antecedents = masks[rows]
-        consequents = masks[cols] & ~antecedents
-        larger_counts = lattice.support_counts()[cols]
-        return RuleArrays(
-            BitMatrix(antecedents, len(universe)),
-            BitMatrix(consequents, len(universe)),
-            universe,
-            relative_supports(larger_counts, self._closed.n_objects),
-            confidences,
-            larger_counts,
-        )
-
-    def iter_rules_reference(self) -> Iterator[AssociationRule]:
-        """The pre-columnar per-rule object pipeline, kept as the oracle.
-
-        Yields exactly the rules of :attr:`rules`, each materialised the
-        old way (one :class:`AssociationRule` and two Itemset set
-        operations per pair).  Used by the equivalence tests and as the
-        baseline of the rule-materialisation microbenchmark.
-        """
-        lattice = self._lattice
-        rows, cols, confidences = lattice.confidence_window_pairs(
-            self._minconf, reduced=self._reduced
-        )
-        members = lattice.members
-        supports = lattice.support_counts()
-        n_objects = self._closed.n_objects
-        for row, col, confidence in zip(rows, cols, confidences):
-            smaller = members[row]
-            larger = members[col]
-            larger_count = int(supports[col])
-            yield AssociationRule(
-                antecedent=smaller,
-                consequent=larger.difference(smaller),
-                support=larger_count / n_objects if n_objects else 0.0,
-                confidence=float(confidence),
-                support_count=larger_count,
-            )
 
     # ------------------------------------------------------------------
     # Accessors

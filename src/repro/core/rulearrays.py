@@ -25,6 +25,12 @@ key-based set operations — runs as one vectorised pass over the columns.
 caller actually iterates them, so the hot path (building a basis,
 counting it, filtering it) never touches object space.
 
+Every basis of the paper is a set of row pairs into a mined family: an
+antecedent row and an antecedent ∪ consequent ("union") row
+(:class:`RowPairs`).  One assembler, :meth:`RuleArrays.from_row_pairs`,
+turns such pairs into the five columns — for the emitters when they
+build a basis and for the store when it loads one.
+
 Rows are trusted to describe well-formed rules (disjoint sides,
 non-empty consequent, probabilities in range) — the builders construct
 them from lattice invariants that guarantee it, and
@@ -34,6 +40,7 @@ them from lattice invariants that guarantee it, and
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +48,11 @@ from ..errors import InvalidParameterError
 from .bitmatrix import _BLOCK_CELLS, BitMatrix, _pack_rows, _words_for
 from .constants import EPSILON
 from .itemset import Item, Itemset, _sort_key
+from .parallel import get_executor
 
 __all__ = [
+    "MaskRows",
+    "RowPairs",
     "RuleArrays",
     "pack_itemsets_into",
     "pack_itemset_words",
@@ -123,6 +133,84 @@ def relative_supports(counts: np.ndarray, n_objects: int) -> np.ndarray:
     if n_objects:
         return counts.astype(np.float64) / n_objects
     return np.zeros(len(counts), dtype=np.float64)
+
+
+class MaskRows(NamedTuple):
+    """Rows a row pair can index: packed masks with their support counts.
+
+    A :class:`~repro.core.families.PackedFamily` has the same three
+    fields and serves directly; the store builds these from the arrays
+    it reads, without decoding a family.
+    """
+
+    #: One mask row per member, over :attr:`universe`.
+    matrix: BitMatrix
+    #: Absolute support count per row.
+    counts: np.ndarray
+    #: Items in canonical bit order.
+    universe: tuple[Item, ...]
+
+
+class RowPairs(NamedTuple):
+    """A basis as one antecedent row and one union row per rule, in row order.
+
+    ``antecedents`` and ``unions`` are the families the rows index, each
+    through its ``packed()`` rows: an
+    :class:`~repro.core.families.ItemsetFamily` (frequent or closed) or
+    a :class:`~repro.core.generators.GeneratorFamily`.  Antecedent row
+    ``-1`` is the empty itemset (support ``n_objects``), which no family
+    lists.
+    """
+
+    antecedents: object
+    antecedent_rows: np.ndarray
+    unions: object
+    union_rows: np.ndarray
+
+
+def used_universe(rows: MaskRows, indices: np.ndarray) -> tuple[Item, ...]:
+    """The items set in any of the rows *indices* (none -1), in canonical order."""
+    words = rows.matrix.words
+    in_use = np.zeros(len(words), dtype=bool)
+    in_use[indices] = True
+    used = np.bitwise_or.reduce(words[in_use], axis=0)
+    columns = BitMatrix(used[None, :], rows.matrix.n_cols).row_indices(0)
+    return tuple(rows.universe[column] for column in columns)
+
+
+def _gather_source(
+    rows: MaskRows, indices: np.ndarray, universe: tuple, role: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(masks, positions)``: ``masks[positions]`` are rows *indices* over *universe*.
+
+    Only the rows in use are projected, once each; row ``-1`` maps to an
+    appended empty row.  Raises when a row in use holds an item outside
+    *universe* or *universe* names an item the rows lack.
+    """
+    words = rows.matrix.words
+    positions = indices
+    if tuple(rows.universe) != universe:
+        bit = {item: column for column, item in enumerate(rows.universe)}
+        missing = [item for item in universe if item not in bit]
+        if missing:
+            raise InvalidParameterError(
+                f"universe: item {missing[0]!r} is not in the {role} family"
+            )
+        columns = np.array([bit[item] for item in universe], dtype=np.intp)
+        in_use = np.zeros(len(words), dtype=bool)
+        in_use[indices[indices >= 0]] = True
+        kept = words[in_use]
+        words = BitMatrix(kept, rows.matrix.n_cols).take_columns(columns).words
+        # The projection drops the bits outside *universe*: none may be set.
+        if np.bitwise_count(words).sum() != np.bitwise_count(kept).sum():
+            raise InvalidParameterError(
+                f"universe: {role} rows hold items outside the basis universe"
+            )
+        positions = (np.cumsum(in_use) - 1)[indices]
+    if (indices < 0).any():
+        words = np.concatenate([words, np.zeros((1, words.shape[1]), np.uint64)])
+        positions = np.where(indices < 0, len(words) - 1, positions)
+    return words, positions
 
 
 def _words_for_universe(universe: Sequence[Item]) -> int:
@@ -400,6 +488,100 @@ class RuleArrays:
             support,
             confidence,
             support_count,
+        )
+
+    @classmethod
+    def from_row_pairs(
+        cls,
+        antecedents: MaskRows,
+        antecedent_rows: np.ndarray,
+        unions: MaskRows,
+        union_rows: np.ndarray,
+        universe: Sequence[Item],
+        n_objects: int,
+        *,
+        block_rows: int | None = None,
+        workers: int | None = None,
+    ) -> "RuleArrays":
+        """Assemble rule ``X → Z \\ X`` per ``(X row, Z row)`` pair, streamed.
+
+        The single assembler of every basis, at build and at store load.
+        The rows in use are projected onto *universe* once; each block of
+        ``block_rows`` rules then gathers its antecedent and union masks,
+        AND-NOTs them into consequents and takes ``support_count`` from
+        the union counts, ``support`` from :func:`relative_supports` and
+        ``confidence`` as union count / antecedent count (float64, so an
+        exact rule reads exactly 1.0).  Antecedent row ``-1`` is the
+        empty itemset with count *n_objects*.  ``block_rows`` and
+        ``workers`` change memory and wall time, never the output.
+
+        Raises :class:`~repro.errors.InvalidParameterError`, its message
+        opening with the offending argument, when the two row arrays
+        differ in length, a row lies outside its family (``-1`` aside),
+        a row in use holds an item outside *universe*, or an antecedent
+        row is not a proper subset of its union row.
+        """
+        antecedent_rows = np.asarray(antecedent_rows, dtype=np.int64)
+        union_rows = np.asarray(union_rows, dtype=np.int64)
+        universe = tuple(universe)
+        if len(union_rows) != len(antecedent_rows):
+            raise InvalidParameterError(
+                f"union_rows holds {len(union_rows)} rows, "
+                f"antecedent_rows {len(antecedent_rows)}"
+            )
+        for label, rows, family, lowest in (
+            ("antecedent_rows", antecedent_rows, antecedents, -1),
+            ("union_rows", union_rows, unions, 0),
+        ):
+            n = len(family.counts)
+            if rows.size and not lowest <= rows.min() <= rows.max() < n:
+                raise InvalidParameterError(
+                    f"{label}: rows must lie in [{lowest}, {n})"
+                )
+        x_masks, x_positions = _gather_source(
+            antecedents, antecedent_rows, universe, "antecedent"
+        )
+        z_masks, z_positions = _gather_source(unions, union_rows, universe, "union")
+        # Row -1 reads the appended last entry: the empty itemset's count.
+        x_count_table = np.append(antecedents.counts, n_objects).astype(np.int64)
+        block = resolve_block_rows(block_rows, _words_for(len(universe)))
+
+        def assemble(start: int) -> RuleArrays:
+            rows = slice(start, start + block)
+            x = x_masks.take(x_positions[rows], axis=0)
+            z = z_masks.take(z_positions[rows], axis=0)
+            consequents = z & ~x
+            nonempty = (consequents != 0).any(axis=1)
+            if (x & ~z).any() or not nonempty.all():
+                improper = ((x & ~z) != 0).any(axis=1) | ~nonempty
+                rule = start + int(np.argmax(improper))
+                raise InvalidParameterError(
+                    f"antecedent_rows: rule {rule}: antecedent row "
+                    f"{antecedent_rows[rule]} is not a proper subset of "
+                    f"union row {union_rows[rule]}"
+                )
+            x_counts = x_count_table.take(antecedent_rows[rows])
+            z_counts = unions.counts.take(union_rows[rows])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                confidence = z_counts / x_counts
+            # A zero antecedent count (no object at all) reads 1.0.
+            confidence[x_counts == 0] = 1.0
+            return RuleArrays(
+                BitMatrix(x, len(universe)),
+                BitMatrix(consequents, len(universe)),
+                universe,
+                relative_supports(z_counts, n_objects),
+                confidence,
+                z_counts,
+            )
+
+        starts = range(0, len(union_rows), block)
+        if len(starts) == 1:
+            return assemble(0)
+        return cls.from_blocks(
+            get_executor(workers).imap(assemble, starts),
+            universe,
+            n_rows=len(union_rows),
         )
 
     # ------------------------------------------------------------------

@@ -289,16 +289,18 @@ def save_artifacts(
     ``include_context=False``), the frequent and closed families, the
     minimal generators, the shared iceberg-lattice order core of
     *artifacts* (built lazily if no selected basis needed one yet) and
-    every built basis's rule columns.  Returns the written path.
+    every built basis — as row pairs into those families when it has
+    them, else as rule columns.  Returns the written path.
     """
     from .. import store
 
     database = mining.database if mining is not None else None
-    generators = None
-    if mining is not None and mining.generators_by_closure:
-        generators = mining.generator_family
+    # Saved even when empty: the generic and informative bases' row
+    # pairs index it whatever the run mined.
+    generators = mining.generator_family if mining is not None else None
     lattice = None
     rule_arrays = {}
+    row_pairs = {}
     basis_kinds = {}
     basis_metadata = {}
     if artifacts is not None:
@@ -306,6 +308,11 @@ def save_artifacts(
             lattice = artifacts.context.lattice
         rule_arrays = {
             name: built.rule_arrays for name, built in artifacts.bases.items()
+        }
+        row_pairs = {
+            name: built.row_pairs
+            for name, built in artifacts.bases.items()
+            if built.row_pairs is not None
         }
         basis_kinds = {name: built.kind for name, built in artifacts.bases.items()}
         basis_metadata = {
@@ -319,6 +326,7 @@ def save_artifacts(
         generators=generators,
         lattice=lattice,
         rule_arrays=rule_arrays,
+        row_pairs=row_pairs,
         basis_kinds=basis_kinds,
         basis_metadata=basis_metadata,
         name=database.name if database is not None else None,

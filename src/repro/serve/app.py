@@ -62,6 +62,10 @@ __all__ = [
 #: Default capacity of the per-store answer cache.
 DEFAULT_CACHE_SIZE = 1024
 
+#: The store sections a snapshot reads; the transaction context is
+#: never served, so it is not decoded.
+_SERVED_SECTIONS = ("frequent", "closed", "generators", "order", "rules")
+
 #: Hard ceiling of the ``limit`` pagination parameter.
 MAX_PAGE_LIMIT = 1000
 
@@ -457,6 +461,7 @@ class ServeApp:
         signature = _signature(self._path)
         stored = load_run(
             self._path,
+            sections=_SERVED_SECTIONS,
             retain_containment=self._retain_containment,
             verify=self._verify,
         )

@@ -31,6 +31,7 @@ from .integrity import (
 from .npz import (
     FORMAT_NAME,
     FORMAT_VERSION,
+    READABLE_VERSIONS,
     StoredRun,
     load_run,
     read_manifest,
@@ -40,6 +41,7 @@ from .npz import (
 __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
+    "READABLE_VERSIONS",
     "StoredRun",
     "save_run",
     "load_run",

@@ -23,16 +23,30 @@ Container layout (flat keys, ``__``-separated)::
     generators__closure_index     row -> canonical closed-member index
     order__words                  packed strict-containment BitMatrix
     order__rows / order__cols     Hasse edge index arrays
+    rules__<name>__antecedent_rows/__union_rows/__universe
+                                  one basis as row pairs into the
+                                  families its manifest entry names
     rules__<name>__antecedents/__consequents/__support/__confidence/
-        __support_count/__universe         one RuleArrays per basis
+        __support_count/__universe         one basis as rule columns
+
+A basis built from the stored families is written as row pairs: rule
+``X → Z \\ X`` is an antecedent row (frequent, closed or generator;
+``-1`` for ``∅``) and a union row (frequent or closed).  The loader
+rebuilds its columns with
+:meth:`~repro.core.rulearrays.RuleArrays.from_row_pairs`, the assembler
+the emitters use, so they are bit-identical to the built ones.  A bare
+:class:`~repro.core.rulearrays.RuleArrays` is written as columns.
+Integer index and count arrays are written in the narrowest signed
+dtype that holds their values and read back as int64.
 
 Every section is optional except the manifest; :func:`load_run` returns
 whatever the file holds.  Items must be strings or integers — the two
 kinds every dataset loader and generator in this library produces — so
 the container never needs ``allow_pickle``.
 
-The format is versioned (:data:`FORMAT_VERSION`); readers reject files
-with a different major version loudly instead of mis-parsing them.
+The format is versioned (:data:`FORMAT_VERSION`); readers load the
+versions in :data:`READABLE_VERSIONS` (version 1 stores every basis as
+columns) and reject any other loudly instead of mis-parsing it.
 """
 
 from __future__ import annotations
@@ -47,12 +61,12 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..core.bitmatrix import BitMatrix
-from ..core.families import ClosedItemsetFamily, ItemsetFamily
+from ..core.families import ClosedItemsetFamily, ItemsetFamily, PackedFamily
 from ..core.generators import GeneratorFamily
 from ..core.itemset import Item, Itemset
 from ..core.lattice import IcebergLattice
-from ..core.order import OrderCore, pack_itemset_masks
-from ..core.rulearrays import RuleArrays, sorted_universe
+from ..core.order import OrderCore
+from ..core.rulearrays import MaskRows, RowPairs, RuleArrays
 from ..data.context import TransactionDatabase
 from ..errors import InvalidParameterError, StoreFormatError, StoreIntegrityError
 from ..ioutils import atomic_write
@@ -66,6 +80,7 @@ from .integrity import (
 __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
+    "READABLE_VERSIONS",
     "StoredRun",
     "save_run",
     "load_run",
@@ -75,9 +90,30 @@ __all__ = [
 #: Identifies the container type inside the manifest.
 FORMAT_NAME = "repro-store"
 
-#: Major format version; bumped on any incompatible layout change.
-#: Readers refuse other versions rather than guessing.
-FORMAT_VERSION = 1
+#: Major format version written; bumped on any incompatible layout change.
+FORMAT_VERSION = 2
+
+#: Versions this reader loads; it refuses others rather than guessing.
+READABLE_VERSIONS = (1, 2)
+
+#: The families a pair-encoded basis may index, by manifest name.
+_ROW_FAMILIES = ("frequent", "closed", "generators")
+
+
+def _narrow(array: np.ndarray) -> np.ndarray:
+    """An integer array in the narrowest signed dtype that holds its values."""
+    array = np.asarray(array)
+    low, high = (int(array.min()), int(array.max())) if array.size else (0, 0)
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return array.astype(dtype)
+    return array.astype(np.int64)
+
+
+def _int64(data, key: str) -> np.ndarray:
+    """A stored integer array widened back to int64."""
+    return data[key].astype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +165,7 @@ def _family_section(prefix: str, family: ItemsetFamily, payload: dict) -> dict:
     """Pack one itemset family into ``payload``; return its manifest entry."""
     packed = family.packed()
     payload[f"{prefix}__words"] = packed.matrix.words
-    payload[f"{prefix}__counts"] = packed.counts
+    payload[f"{prefix}__counts"] = _narrow(packed.counts)
     payload[f"{prefix}__universe"] = _encode_items(packed.universe)
     return {
         "n_members": len(packed.members),
@@ -138,43 +174,146 @@ def _family_section(prefix: str, family: ItemsetFamily, payload: dict) -> dict:
     }
 
 
-def _load_family(
-    prefix: str, data, entry: dict, closed: bool
-) -> ItemsetFamily | ClosedItemsetFamily:
+def _family_rows(prefix: str, data) -> MaskRows:
+    """One family's stored rows and counts, read without decoding any itemset."""
     universe = _decode_items(data[f"{prefix}__universe"])
-    matrix = BitMatrix(data[f"{prefix}__words"], len(universe))
-    counts = data[f"{prefix}__counts"]
-    members = _decode_members(matrix, universe)
-    supports = dict(zip(members, (int(c) for c in counts)))
+    return MaskRows(
+        BitMatrix(data[f"{prefix}__words"], len(universe)),
+        _int64(data, f"{prefix}__counts"),
+        universe,
+    )
+
+
+def _load_family(
+    rows: MaskRows, entry: dict, closed: bool
+) -> ItemsetFamily | ClosedItemsetFamily:
     cls = ClosedItemsetFamily if closed else ItemsetFamily
-    return cls(
-        supports,
+    return cls.from_packed(
+        PackedFamily(
+            _decode_members(rows.matrix, rows.universe),
+            rows.universe,
+            rows.matrix,
+            rows.counts,
+        ),
         n_objects=int(entry["n_objects"]),
         minsup_count=int(entry["minsup_count"]),
     )
 
 
-def _rules_section(name: str, arrays: RuleArrays, payload: dict) -> None:
+def _rules_section(
+    name: str, arrays: RuleArrays, payload: dict, pairs: RowPairs | None
+) -> None:
     prefix = f"rules__{name}"
+    payload[f"{prefix}__universe"] = _encode_items(arrays.universe)
+    if pairs is not None:
+        payload[f"{prefix}__antecedent_rows"] = _narrow(pairs.antecedent_rows)
+        payload[f"{prefix}__union_rows"] = _narrow(pairs.union_rows)
+        return
     payload[f"{prefix}__antecedents"] = arrays.antecedents.words
     payload[f"{prefix}__consequents"] = arrays.consequents.words
     payload[f"{prefix}__support"] = arrays.support
     payload[f"{prefix}__confidence"] = arrays.confidence
     payload[f"{prefix}__support_count"] = arrays.support_count
-    payload[f"{prefix}__universe"] = _encode_items(arrays.universe)
 
 
-def _load_rules(name: str, data) -> RuleArrays:
+def _pair_families(
+    name: str, pairs: RowPairs, arrays: RuleArrays, stored: dict
+) -> dict:
+    """The manifest names of the families *pairs* index, checked by identity."""
+    if len(pairs.union_rows) != len(arrays):
+        raise InvalidParameterError(
+            f"basis {name!r}: {len(pairs.union_rows)} row pairs for "
+            f"{len(arrays)} rules"
+        )
+    names = {}
+    for side, family in (("antecedent", pairs.antecedents), ("union", pairs.unions)):
+        names[side] = next(
+            (label for label, held in stored.items() if held is family), None
+        )
+        if names[side] is None:
+            raise InvalidParameterError(
+                f"basis {name!r}: its {side} rows index a family this save "
+                "does not store"
+            )
+    return names
+
+
+def _row_source(
+    label: str, data, manifest: dict, path: Path, sources: dict
+) -> MaskRows:
+    """The stored rows of one family a basis indexes, read once per load.
+
+    *sources* caches the rows already read, by the family sections too.
+    """
+    if label not in _ROW_FAMILIES or label not in manifest.get("sections", []):
+        raise StoreFormatError(
+            f"{path}: a rule basis indexes the {label!r} family, which the "
+            f"store lacks (sections: {', '.join(manifest.get('sections', []))})"
+        )
+    if label not in sources:
+        if label == "generators":
+            closed = _row_source("closed", data, manifest, path, sources)
+            sources[label] = _generator_rows(data, closed, path)[0]
+        else:
+            sources[label] = _family_rows(label, data)
+    return sources[label]
+
+
+def _generator_rows(
+    data, closed: MaskRows, path: Path
+) -> tuple[MaskRows, np.ndarray]:
+    """The generator rows (over the closed universe) and each one's closed row."""
+    closure_index = _checked_closure_index(data, len(closed.counts), path)
+    rows = MaskRows(
+        BitMatrix(data["generators__words"], len(closed.universe)),
+        closed.counts[closure_index],
+        closed.universe,
+    )
+    return rows, closure_index
+
+
+def _checked_closure_index(data, n_closed: int, path: Path) -> np.ndarray:
+    closure_index = _int64(data, "generators__closure_index")
+    if closure_index.size and not (
+        closure_index.min() >= 0 and closure_index.max() < n_closed
+    ):
+        raise StoreFormatError(
+            f"{path}: generators__closure_index must index the "
+            f"{n_closed} closed itemsets"
+        )
+    return closure_index
+
+
+def _load_rules(
+    name: str, entry: dict, data, manifest: dict, path: Path, sources: dict
+) -> RuleArrays:
+    """One basis: its stored columns, or its row pairs assembled into columns."""
     prefix = f"rules__{name}"
     universe = _decode_items(data[f"{prefix}__universe"])
-    return RuleArrays(
-        BitMatrix(data[f"{prefix}__antecedents"], len(universe)),
-        BitMatrix(data[f"{prefix}__consequents"], len(universe)),
-        universe,
-        data[f"{prefix}__support"],
-        data[f"{prefix}__confidence"],
-        data[f"{prefix}__support_count"],
-    )
+    pairs = entry.get("pairs")
+    if pairs is None:
+        return RuleArrays(
+            BitMatrix(data[f"{prefix}__antecedents"], len(universe)),
+            BitMatrix(data[f"{prefix}__consequents"], len(universe)),
+            universe,
+            data[f"{prefix}__support"],
+            data[f"{prefix}__confidence"],
+            data[f"{prefix}__support_count"],
+        )
+    antecedents = _row_source(pairs.get("antecedent"), data, manifest, path, sources)
+    unions = _row_source(pairs.get("union"), data, manifest, path, sources)
+    union_family = "closed" if pairs["union"] == "generators" else pairs["union"]
+    try:
+        return RuleArrays.from_row_pairs(
+            antecedents,
+            _int64(data, f"{prefix}__antecedent_rows"),
+            unions,
+            _int64(data, f"{prefix}__union_rows"),
+            universe,
+            int(manifest["families"][union_family]["n_objects"]),
+        )
+    except InvalidParameterError as exc:
+        raise StoreFormatError(f"{path}: {prefix}__{exc}") from None
 
 
 def _json_safe(value):
@@ -274,6 +413,7 @@ def save_run(
     generators: GeneratorFamily | None = None,
     lattice: IcebergLattice | None = None,
     rule_arrays: Mapping[str, RuleArrays] | None = None,
+    row_pairs: Mapping[str, RowPairs] | None = None,
     basis_kinds: Mapping[str, str] | None = None,
     basis_metadata: Mapping[str, Mapping] | None = None,
     name: str | None = None,
@@ -296,6 +436,12 @@ def save_run(
         family by member index.
     rule_arrays : mapping of str to RuleArrays, optional
         One entry per basis to store, keyed by basis name.
+    row_pairs : mapping of str to RowPairs, optional
+        The row pairs of those bases that have them (a
+        :class:`~repro.bases.base.BuiltBasis` carries them).  Such a
+        basis is written as its two row arrays; the families they index
+        must be saved too (checked by identity).  The other bases are
+        written as their five columns.
     basis_kinds, basis_metadata : mapping, optional
         Per-basis registry kind and construction metadata, recorded in
         the manifest (metadata is JSON-coerced).
@@ -329,8 +475,8 @@ def save_run(
         indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(rows, minlength=database.n_objects)))
         )
-        payload["context__indptr"] = indptr.astype(np.int64)
-        payload["context__item_ids"] = cols.astype(np.int64)
+        payload["context__indptr"] = _narrow(indptr)
+        payload["context__item_ids"] = _narrow(cols)
         payload["context__items"] = _encode_items(database.items)
         manifest["dataset"].update(
             {"n_objects": database.n_objects, "n_items": database.n_items}
@@ -356,13 +502,9 @@ def save_run(
             raise InvalidParameterError(
                 "the generator family was built from a different closed family"
             )
-        packed = closed.packed()
-        position = {member: index for index, member in enumerate(packed.members)}
-        gen_matrix, closures, _ = generators.packed_masks(packed.universe)
-        payload["generators__words"] = gen_matrix.words
-        payload["generators__closure_index"] = np.array(
-            [position[closure] for closure in closures], dtype=np.int64
-        )
+        packed = generators.packed()
+        payload["generators__words"] = packed.matrix.words
+        payload["generators__closure_index"] = _narrow(packed.closure_rows)
         manifest["sections"].append("generators")
 
     if lattice is not None:
@@ -376,27 +518,39 @@ def save_run(
             )
         hasse_rows, hasse_cols = lattice.hasse_edge_indices()
         payload["order__words"] = lattice.order_core.packed_containment_matrix().words
-        payload["order__rows"] = np.asarray(hasse_rows, dtype=np.int64)
-        payload["order__cols"] = np.asarray(hasse_cols, dtype=np.int64)
+        payload["order__rows"] = _narrow(hasse_rows)
+        payload["order__cols"] = _narrow(hasse_cols)
         manifest["order"] = {
             "n": len(lattice),
             "n_edges": lattice.edge_count(),
         }
         manifest["sections"].append("order")
 
+    row_pairs = dict(row_pairs or {})
+    unknown = sorted(set(row_pairs) - set(rule_arrays or {}))
+    if unknown:
+        raise InvalidParameterError(
+            f"row pairs given for bases without rule arrays: {', '.join(unknown)}"
+        )
     if rule_arrays:
+        stored = {"frequent": frequent, "closed": closed, "generators": generators}
+        stored = {
+            label: family for label, family in stored.items() if family is not None
+        }
         for basis_name, arrays in rule_arrays.items():
-            _rules_section(basis_name, arrays, payload)
-            manifest["bases"].append(
-                {
-                    "name": basis_name,
-                    "kind": (basis_kinds or {}).get(basis_name),
-                    "rules": len(arrays),
-                    "metadata": _json_safe(
-                        dict((basis_metadata or {}).get(basis_name, {}))
-                    ),
-                }
-            )
+            pairs = row_pairs.get(basis_name)
+            entry = {
+                "name": basis_name,
+                "kind": (basis_kinds or {}).get(basis_name),
+                "rules": len(arrays),
+                "metadata": _json_safe(
+                    dict((basis_metadata or {}).get(basis_name, {}))
+                ),
+            }
+            if pairs is not None:
+                entry["pairs"] = _pair_families(basis_name, pairs, arrays, stored)
+            _rules_section(basis_name, arrays, payload, pairs)
+            manifest["bases"].append(entry)
         manifest["sections"].append("rules")
 
     # Per-array SHA-256 digests let a reader verify the container end to
@@ -426,10 +580,10 @@ def _parse_manifest(raw: np.ndarray, source: str | Path) -> dict:
             f"(format={manifest.get('format')!r})"
         )
     version = manifest.get("version")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise StoreFormatError(
             f"{source} uses store format version {version!r}; this reader "
-            f"supports version {FORMAT_VERSION}"
+            f"supports versions {', '.join(map(str, READABLE_VERSIONS))}"
         )
     return manifest
 
@@ -547,8 +701,8 @@ def _load_sections(
     """Populate *run* with the *wanted* sections of an opened container."""
     if "context" in wanted:
         items = _decode_items(data["context__items"])
-        indptr = data["context__indptr"]
-        item_ids = data["context__item_ids"]
+        indptr = _int64(data, "context__indptr")
+        item_ids = _int64(data, "context__item_ids")
         transactions = [
             [items[c] for c in item_ids[indptr[i] : indptr[i + 1]]]
             for i in range(len(indptr) - 1)
@@ -558,35 +712,32 @@ def _load_sections(
         )
 
     families = manifest.get("families", {})
+    # Family rows read once and shared by the pair-encoded rule bases.
+    sources: dict[str, MaskRows] = {}
     if "frequent" in wanted:
+        sources["frequent"] = _family_rows("frequent", data)
         run.frequent = _load_family(
-            "frequent", data, families["frequent"], closed=False
+            sources["frequent"], families["frequent"], closed=False
         )
     if "closed" in wanted:
-        run.closed = _load_family("closed", data, families["closed"], closed=True)
+        sources["closed"] = _family_rows("closed", data)
+        run.closed = _load_family(sources["closed"], families["closed"], closed=True)
 
     if "generators" in wanted:
         members = run.closed.itemsets()
-        universe = sorted_universe(
-            item for member in members for item in member
+        sources["generators"], closure_index = _generator_rows(
+            data, sources["closed"], run.path
         )
-        gen_matrix = BitMatrix(data["generators__words"], len(universe))
-        closure_index = data["generators__closure_index"]
-        if closure_index.size and not (
-            closure_index.min() >= 0 and closure_index.max() < len(members)
-        ):
-            raise StoreFormatError(
-                f"{run.path}: generators__closure_index must index the "
-                f"{len(members)} closed itemsets"
-            )
-        generator_sets = _decode_members(gen_matrix, universe)
+        generator_sets = _decode_members(
+            sources["generators"].matrix, sources["closed"].universe
+        )
         by_closure: dict[Itemset, list[Itemset]] = {}
         for index, generator in zip(closure_index, generator_sets):
             by_closure.setdefault(members[int(index)], []).append(generator)
         run.generators = GeneratorFamily(run.closed, by_closure)
 
     if "order" in wanted:
-        rows, cols = data["order__rows"], data["order__cols"]
+        rows, cols = _int64(data, "order__rows"), _int64(data, "order__cols")
         try:
             if retain_containment:
                 n = int(manifest["order"]["n"])
@@ -594,8 +745,9 @@ def _load_sections(
                     BitMatrix(data["order__words"], n), rows, cols
                 )
             else:
-                masks, _ = pack_itemset_masks(run.closed.itemsets())
-                core = OrderCore.from_edges(masks, rows, cols)
+                core = OrderCore.from_edges(
+                    run.closed.packed().matrix.words, rows, cols
+                )
         except InvalidParameterError as exc:
             raise StoreFormatError(
                 f"{run.path}: order__rows/order__cols: {exc}"
@@ -605,7 +757,9 @@ def _load_sections(
     if "rules" in wanted:
         for entry in manifest.get("bases", []):
             basis_name = entry["name"]
-            run.rule_arrays[basis_name] = _load_rules(basis_name, data)
+            run.rule_arrays[basis_name] = _load_rules(
+                basis_name, entry, data, manifest, run.path, sources
+            )
             if entry.get("kind"):
                 run.basis_kinds[basis_name] = entry["kind"]
             run.basis_metadata[basis_name] = dict(entry.get("metadata", {}))

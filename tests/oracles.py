@@ -7,7 +7,7 @@ slow and obviously correct, they exist only to be compared with.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from itertools import combinations
 from typing import NamedTuple
 
@@ -16,6 +16,7 @@ import numpy as np
 from repro.algorithms.base import MiningStatistics
 from repro.core.constants import EPSILON
 from repro.core.families import ClosedItemsetFamily, ItemsetFamily
+from repro.core.generators import GeneratorFamily
 from repro.core.itemset import Itemset
 from repro.core.lattice import IcebergLattice
 from repro.core.order import OrderCore, pack_itemset_masks
@@ -67,6 +68,90 @@ def approximate_rules_reference(frequent: ItemsetFamily, minconf: float) -> Rule
         frequent,
         lambda confidence: minconf - EPSILON <= confidence < 1.0 - EPSILON,
     )
+
+
+def luxenburger_rules_reference(
+    lattice: IcebergLattice, minconf: float, reduced: bool
+) -> Iterator[AssociationRule]:
+    """The Luxenburger basis, one object and two set operations per pair."""
+    rows, cols, confidences = lattice.confidence_window_pairs(minconf, reduced=reduced)
+    members = lattice.members
+    supports = lattice.support_counts()
+    n_objects = lattice.closed_family.n_objects
+    for row, col, confidence in zip(rows, cols, confidences):
+        smaller = members[row]
+        larger = members[col]
+        larger_count = int(supports[col])
+        yield AssociationRule(
+            antecedent=smaller,
+            consequent=larger.difference(smaller),
+            support=larger_count / n_objects if n_objects else 0.0,
+            confidence=float(confidence),
+            support_count=larger_count,
+        )
+
+
+def generic_rules_reference(generators: GeneratorFamily) -> Iterator[AssociationRule]:
+    """The generic basis: ``G → h(G) \\ G`` per proper generator."""
+    closed_family = generators.closed_family
+    n_objects = closed_family.n_objects
+    for closed in generators.closed_itemsets():
+        count = closed_family.support_count(closed)
+        for generator in generators.proper_generators_of(closed):
+            consequent = closed.difference(generator)
+            if not consequent:
+                continue
+            yield AssociationRule(
+                antecedent=generator,
+                consequent=consequent,
+                support=count / n_objects if n_objects else 0.0,
+                confidence=1.0,
+                support_count=count,
+            )
+
+
+def informative_rules_reference(
+    generators: GeneratorFamily, lattice: IcebergLattice, minconf: float, reduced: bool
+) -> Iterator[AssociationRule]:
+    """The informative basis: ``G → C \\ G`` per generator and larger closed ``C``."""
+    closed_family = generators.closed_family
+    n_objects = closed_family.n_objects
+    for closed in generators.closed_itemsets():
+        lower_count = closed_family.support_count(closed)
+        if reduced:
+            targets = lattice.children_of(closed)
+        else:
+            targets = lattice.proper_supersets(closed)
+        for target in targets:
+            upper_count = closed_family.support_count(target)
+            confidence = upper_count / lower_count if lower_count else 0.0
+            if confidence < minconf - EPSILON:
+                continue
+            if confidence >= 1.0 - EPSILON:
+                continue
+            for generator in generators.generators_of(closed):
+                consequent = target.difference(generator)
+                if not consequent:
+                    continue
+                yield AssociationRule(
+                    antecedent=generator,
+                    consequent=consequent,
+                    support=upper_count / n_objects if n_objects else 0.0,
+                    confidence=confidence,
+                    support_count=upper_count,
+                )
+
+
+def dg_rules_reference(pseudo_closed, n_objects: int) -> Iterator[AssociationRule]:
+    """The Duquenne-Guigues basis: ``P → h(P) \\ P`` per pseudo-closed record."""
+    for entry in pseudo_closed:
+        yield AssociationRule(
+            antecedent=entry.itemset,
+            consequent=entry.closure.difference(entry.itemset),
+            support=entry.support_count / n_objects if n_objects else 0.0,
+            confidence=1.0,
+            support_count=entry.support_count,
+        )
 
 
 def hasse_edges_reference(closed: ClosedItemsetFamily) -> list[tuple[Itemset, Itemset]]:

@@ -6,7 +6,9 @@ import pytest
 
 from repro import Apriori, Close, build_duquenne_guigues_basis
 from repro.algorithms.rule_generation import generate_exact_rules
+from repro.core.dg_basis import DuquenneGuiguesBasis
 from repro.core.itemset import Itemset
+from repro.errors import InvalidParameterError
 
 
 def build(db, minsup):
@@ -42,6 +44,27 @@ class TestToyBasis:
         rule = basis.rules.get(Itemset(), Itemset("x"))
         assert rule is not None
         assert rule.support == pytest.approx(1.0)
+
+    def test_rules_are_row_pairs_into_the_families(self, allx_db):
+        frequent, closed, basis = build(allx_db, 0.25)
+        pairs = basis.row_pairs
+        assert pairs.antecedents is frequent and pairs.unions is closed
+        members, closures = frequent.itemsets(), closed.itemsets()
+        from_rows = {
+            (Itemset() if x_row == -1 else members[x_row], closures[z_row])
+            for x_row, z_row in zip(pairs.antecedent_rows, pairs.union_rows)
+        }
+        assert (Itemset(), Itemset("x")) in from_rows
+        assert from_rows == {
+            (rule.antecedent, rule.antecedent.union(rule.consequent))
+            for rule in basis
+        }
+
+    def test_record_missing_from_its_family_rejected(self, toy_db):
+        _, closed, basis = build(toy_db, 0.4)
+        without_a = Apriori(0.8).mine(toy_db)
+        with pytest.raises(InvalidParameterError, match="not a member"):
+            DuquenneGuiguesBasis(basis.pseudo_closed_itemsets, without_a, closed)
 
 
 class TestSemanticClosure:

@@ -111,6 +111,8 @@ def rewrite_array(source, dest, key, mutate):
 
 def set_first(value):
     def mutate(array):
+        # Widen first: the store writes indices in their narrowest dtype.
+        array = array.astype(np.int64)
         array[0] = value
         return array
 
@@ -118,6 +120,9 @@ def set_first(value):
 
 
 #: ``(array, mutation)`` pairs that leave an index array out of range.
+#: On the Fig. 1 store the frequent family has 15 rows, the last one
+#: ``abce`` (no proper subset of any frequent itemset), and the closed
+#: family 5.
 OUT_OF_RANGE = {
     "edge-row-past-n": ("order__rows", set_first(99)),
     "edge-col-past-n": ("order__cols", set_first(99)),
@@ -125,7 +130,34 @@ OUT_OF_RANGE = {
     "edge-arrays-unequal": ("order__cols", lambda cols: cols[:-1]),
     "closure-index-past-n": ("generators__closure_index", set_first(99)),
     "closure-index-negative": ("generators__closure_index", set_first(-1)),
+    "pair-union-row-past-family": ("rules__all__union_rows", set_first(10**5)),
+    "pair-union-row-negative": ("rules__luxenburger__union_rows", set_first(-1)),
+    "pair-antecedent-row-past-family": (
+        "rules__luxenburger__antecedent_rows", set_first(5)
+    ),
+    "pair-antecedent-below-marker": ("rules__dg__antecedent_rows", set_first(-2)),
+    "pair-rows-unequal": ("rules__all__union_rows", lambda rows: rows[:-1]),
+    "pair-antecedent-not-proper-subset": (
+        "rules__all__antecedent_rows", set_first(14)
+    ),
 }
+
+
+def rewrite_manifest(source, dest, mutate):
+    """Rewrite the manifest of *source* into *dest* as *mutate(manifest)*."""
+
+    def replace(name, payload):
+        if name != "manifest.npy":
+            return payload
+        header_end = payload.index(b"\n") + 1
+        manifest = mutate(json.loads(bytes(payload[header_end:])))
+        buffer = io.BytesIO()
+        body = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        np.save(buffer, np.frombuffer(body, dtype=np.uint8))
+        return buffer.getvalue()
+
+    rezip(source, dest, replace)
+    return dest
 
 
 def listed_arrays(path) -> dict[str, str]:
@@ -260,6 +292,26 @@ class TestIndexRanges:
         # The digests were recomputed: only the range check can catch it.
         assert not isinstance(excinfo.value, StoreIntegrityError)
 
+    @pytest.mark.parametrize("retain_containment", [True, False])
+    def test_pair_family_missing_from_store_rejected(
+        self, store_path, tmp_path, retain_containment
+    ):
+        def rename(manifest):
+            entry = next(e for e in manifest["bases"] if e["name"] == "dg")
+            entry["pairs"]["union"] = "maximal"
+            return manifest
+
+        bad = rewrite_manifest(store_path, tmp_path / "bad.npz", rename)
+        with pytest.raises(StoreFormatError, match="'maximal' family") as excinfo:
+            load_run(bad, verify="full", retain_containment=retain_containment)
+        assert not isinstance(excinfo.value, StoreIntegrityError)
+
+    def test_pair_encoded_basis_has_no_float_column(self, store_path):
+        with np.load(store_path) as data:
+            rules = [key for key in data.files if key.startswith("rules__")]
+            assert rules
+            assert all(data[key].dtype.kind != "f" for key in rules)
+
 
 class TestReloadKeepsOldGeneration:
     def test_corrupt_replacement_keeps_serving(self, store_path):
@@ -285,13 +337,14 @@ class TestReloadKeepsOldGeneration:
         assert status == 200 and payload["generation"] == 2
 
 
+    @pytest.mark.parametrize(
+        "key", ["order__rows", "rules__all__union_rows"]
+    )
     def test_watcher_keeps_serving_after_out_of_range_replacement(
-        self, store_path, tmp_path
+        self, store_path, tmp_path, key
     ):
         app = ServeApp(store_path, watch=True)
-        bad = rewrite_array(
-            store_path, tmp_path / "bad.npz", "order__rows", set_first(99)
-        )
+        bad = rewrite_array(store_path, tmp_path / "bad.npz", key, set_first(10**5))
         stat = store_path.stat()
         store_path.write_bytes(bad.read_bytes())
         os.utime(store_path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
@@ -301,7 +354,7 @@ class TestReloadKeepsOldGeneration:
         status, metrics = app.handle("GET", "/metrics")
         assert status == 200
         assert metrics["reload_failures"] == 1
-        assert "order__rows" in metrics["last_reload_error"]
+        assert key in metrics["last_reload_error"]
 
 
 class TestAtomicWrite:

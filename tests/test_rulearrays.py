@@ -10,7 +10,7 @@ Three layers of guarantees:
   and set operations without materialising a single rule object, and
   materialises into exactly the same rules when iterated;
 * the array-native basis constructions equal the kept object-pipeline
-  oracles (``iter_rules_reference``) rule-for-rule and statistic-for-
+  oracles (``tests/oracles.py``) rule-for-rule and statistic-for-
   statistic on toy, random and rule-dense contexts.
 """
 
@@ -30,6 +30,13 @@ from repro.core.rulearrays import RuleArrays, mask_to_itemset, pack_itemsets_int
 from repro.core.rules import AssociationRule, RuleSet
 from repro.data.synthetic import make_rule_dense_family
 from repro.errors import InvalidParameterError
+
+from oracles import (
+    dg_rules_reference,
+    generic_rules_reference,
+    informative_rules_reference,
+    luxenburger_rules_reference,
+)
 
 
 def make_rule(antecedent, consequent, support=0.4, confidence=0.8, count=None):
@@ -281,7 +288,7 @@ class TestBasisOracleEquivalence:
         for reduced in (False, True):
             basis = LuxenburgerBasis(closed, minconf, transitive_reduction=reduced)
             assert basis.rules.same_rules_and_statistics(
-                RuleSet(basis.iter_rules_reference())
+                RuleSet(luxenburger_rules_reference(basis.lattice, minconf, reduced))
             )
 
     @pytest.mark.parametrize("minconf", [0.0, 0.5])
@@ -294,12 +301,16 @@ class TestBasisOracleEquivalence:
         generators = GeneratorFamily(closed, close.generators_by_closure)
         generic = GenericBasis(generators)
         assert generic.rules.same_rules_and_statistics(
-            RuleSet(generic.iter_rules_reference())
+            RuleSet(generic_rules_reference(generators))
         )
         for reduced in (False, True):
             basis = InformativeBasis(generators, minconf, reduced=reduced)
             assert basis.rules.same_rules_and_statistics(
-                RuleSet(basis.iter_rules_reference())
+                RuleSet(
+                    informative_rules_reference(
+                        generators, basis.lattice, minconf, reduced
+                    )
+                )
             )
 
     def test_dg_matches_reference(self, random_db):
@@ -310,20 +321,30 @@ class TestBasisOracleEquivalence:
         closed = Close(0.2).mine(random_db)
         basis = build_duquenne_guigues_basis(frequent, closed)
         assert basis.rules.same_rules_and_statistics(
-            RuleSet(basis.iter_rules_reference())
+            RuleSet(dg_rules_reference(basis.pseudo_closed_itemsets, basis.n_objects))
         )
 
     def test_rule_dense_context_matches_references(self):
         closed, generators = make_rule_dense_family(25, 2)
         lattice = IcebergLattice(closed)
-        for basis in (
-            LuxenburgerBasis(closed, 0.0, transitive_reduction=False, lattice=lattice),
-            LuxenburgerBasis(closed, 0.3, transitive_reduction=True, lattice=lattice),
-            InformativeBasis(generators, 0.0, reduced=False, lattice=lattice),
-            InformativeBasis(generators, 0.2, reduced=True, lattice=lattice),
-            GenericBasis(generators),
+        for basis, reference in (
+            (
+                LuxenburgerBasis(closed, 0.0, transitive_reduction=False, lattice=lattice),
+                luxenburger_rules_reference(lattice, 0.0, reduced=False),
+            ),
+            (
+                LuxenburgerBasis(closed, 0.3, transitive_reduction=True, lattice=lattice),
+                luxenburger_rules_reference(lattice, 0.3, reduced=True),
+            ),
+            (
+                InformativeBasis(generators, 0.0, reduced=False, lattice=lattice),
+                informative_rules_reference(generators, lattice, 0.0, reduced=False),
+            ),
+            (
+                InformativeBasis(generators, 0.2, reduced=True, lattice=lattice),
+                informative_rules_reference(generators, lattice, 0.2, reduced=True),
+            ),
+            (GenericBasis(generators), generic_rules_reference(generators)),
         ):
             assert not basis.rules.is_materialized()
-            assert basis.rules.same_rules_and_statistics(
-                RuleSet(basis.iter_rules_reference())
-            )
+            assert basis.rules.same_rules_and_statistics(RuleSet(reference))

@@ -16,6 +16,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.analysis.metrics import summarize_rules
@@ -151,6 +152,43 @@ class TestLRUCache:
 # ----------------------------------------------------------------------
 # App-level endpoints vs direct oracles
 # ----------------------------------------------------------------------
+class TestSnapshotLoad:
+    def test_loads_only_served_sections(self, store_path, monkeypatch):
+        """The transaction context is never served, so it is not loaded."""
+        import repro.serve.app as app_module
+        from repro.store import load_run
+
+        requested = []
+
+        def recording_load_run(path, sections=None, **kwargs):
+            requested.append(sections)
+            return load_run(path, sections=sections, **kwargs)
+
+        monkeypatch.setattr(app_module, "load_run", recording_load_run)
+        served = ServeApp(store_path, watch=False)
+        assert len(requested) == 1 and requested[0] is not None
+        assert "context" not in requested[0]
+        assert {"frequent", "closed", "order", "rules"} <= set(requested[0])
+        # The answers are those of the whole store's columns.
+        full = load_run(store_path)
+        assert set(served.loaded.bases) == set(full.rule_arrays)
+        for name, arrays in full.rule_arrays.items():
+            canonical = arrays.sorted_canonically()
+            held = served.loaded.bases[name].arrays
+            assert held.universe == canonical.universe
+            for left, right in (
+                (held.antecedents.words, canonical.antecedents.words),
+                (held.consequents.words, canonical.consequents.words),
+                (held.support, canonical.support),
+                (held.confidence, canonical.confidence),
+                (held.support_count, canonical.support_count),
+            ):
+                assert np.array_equal(left, right)
+        body = b'{"antecedent": ["a"], "consequent": ["c"]}'
+        status, derived = served.handle("POST", "/derive", body=body)
+        assert status == 200 and derived["derivable"]
+
+
 class TestHealthAndBases:
     def test_healthz(self, app, store_path):
         status, payload = app.handle("GET", "/healthz")

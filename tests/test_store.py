@@ -9,6 +9,9 @@ prints byte-identical output to the cold (mined) run.
 
 from __future__ import annotations
 
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,23 +31,24 @@ from repro.experiments.harness import (
     mine_itemsets,
     save_artifacts,
 )
+from repro.store import npz
 
 from conftest import make_random_db
 from oracles import hasse_edges_reference, reference_lattice
 
 
+FIG1_ROWS = [
+    ["a", "c", "d"],
+    ["b", "c", "e"],
+    ["a", "b", "c", "e"],
+    ["b", "e"],
+    ["a", "b", "c", "e"],
+]
+
+
 @pytest.fixture(scope="module")
 def toy_db():
-    return TransactionDatabase(
-        [
-            ["a", "c", "d"],
-            ["b", "c", "e"],
-            ["a", "b", "c", "e"],
-            ["b", "e"],
-            ["a", "b", "c", "e"],
-        ],
-        name="toy",
-    )
+    return TransactionDatabase(FIG1_ROWS, name="toy")
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +140,79 @@ class TestRoundTrip:
             "rules",
         }
 
+    def test_bases_are_row_pairs_into_the_stored_families(self, toy_store_path):
+        expected = {
+            "all": ("frequent", "frequent"),
+            "exact": ("frequent", "frequent"),
+            "approximate": ("frequent", "frequent"),
+            "dg": ("frequent", "closed"),
+            "luxenburger": ("closed", "closed"),
+            "luxenburger-reduced": ("closed", "closed"),
+            "generic": ("generators", "closed"),
+            "informative": ("generators", "closed"),
+            "informative-reduced": ("generators", "closed"),
+        }
+        manifest = store.read_manifest(toy_store_path)
+        pairs = {
+            entry["name"]: (entry["pairs"]["antecedent"], entry["pairs"]["union"])
+            for entry in manifest["bases"]
+        }
+        assert pairs == expected
+        with np.load(toy_store_path) as data:
+            assert not any(key.endswith("__confidence") for key in data.files)
+            for key in data.files:
+                if key.endswith(
+                    ("_rows", "__counts", "__indptr", "__item_ids", "__closure_index")
+                ):
+                    assert data[key].dtype == np.int8, key
+
+    @pytest.mark.parametrize("sections", [None, ("rules",)])
+    def test_each_array_is_read_once(self, toy_store_path, monkeypatch, sections):
+        """The rule bases reuse the family rows read for the other sections."""
+        reads = Counter()
+        open_container = npz._open_container
+
+        class CountingContainer:
+            def __init__(self, data):
+                self.data, self.files = data, data.files
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.data.close()
+
+            def __contains__(self, key):
+                return key in self.data
+
+            def __getitem__(self, key):
+                reads[key] += 1
+                return self.data[key]
+
+        monkeypatch.setattr(
+            npz, "_open_container", lambda path: CountingContainer(open_container(path))
+        )
+        run = store.load_run(toy_store_path, sections=sections)
+        assert len(run.rule_arrays) == len(registered_names())
+        assert "closed__words" in reads and set(reads.values()) == {1}
+
+    def test_bare_rule_arrays_keep_columns(self, tmp_path, toy_artifacts):
+        arrays = toy_artifacts["dg"].rule_arrays
+        path = store.save_run(tmp_path / "bare.npz", rule_arrays={"dg": arrays})
+        (entry,) = store.read_manifest(path)["bases"]
+        assert "pairs" not in entry
+        assert_same_rule_arrays(store.load_run(path).rule_arrays["dg"], arrays)
+
+    def test_pairs_require_their_families(self, tmp_path, toy_mining, toy_artifacts):
+        built = toy_artifacts["luxenburger"]
+        with pytest.raises(InvalidParameterError, match="does not store"):
+            store.save_run(
+                tmp_path / "orphan.npz",
+                frequent=toy_mining.frequent,
+                rule_arrays={"luxenburger": built.rule_arrays},
+                row_pairs={"luxenburger": built.row_pairs},
+            )
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_databases(self, tmp_path, seed):
         database = make_random_db(seed)
@@ -149,6 +226,26 @@ class TestRoundTrip:
         assert run.lattice.hasse_edges() == artifacts.context.lattice.hasse_edges()
         for name in artifacts.names:
             assert_same_rule_arrays(run.rule_arrays[name], artifacts[name].rule_arrays)
+
+    def test_run_without_a_frequent_item(self, tmp_path, toy_db):
+        """No item reaches minsup: every basis is empty and still saves as pairs."""
+        mining = mine_itemsets(toy_db, 1.0)
+        assert len(mining.frequent) == 0 and not mining.generators_by_closure
+        artifacts = build_rule_artifacts(mining, minconf=0.5, bases=registered_names())
+        path = save_artifacts(tmp_path / "empty.npz", mining, artifacts)
+        manifest = store.read_manifest(path)
+        assert "generators" in manifest["sections"]
+        assert all("pairs" in entry for entry in manifest["bases"])
+        run = store.load_run(path, verify="full")
+        assert set(run.rule_arrays) == set(registered_names())
+        for name in registered_names():
+            assert len(run.rule_arrays[name]) == 0
+            assert_same_rule_arrays(run.rule_arrays[name], artifacts[name].rule_arrays)
+        # The stored (empty) generator family lets the run be updated.
+        from repro.incremental.store import update_store
+
+        update_store(path, [["a", "b", "c", "d", "e"]] * 3)
+        assert store.load_run(path).database.n_objects == len(FIG1_ROWS) + 3
 
     def test_integer_items(self, tmp_path):
         """Star families use int items; the codec must preserve the type."""
@@ -306,7 +403,8 @@ class TestWarmStart:
 # Format guards
 # ----------------------------------------------------------------------
 class TestFormatGuards:
-    def test_wrong_version_rejected(self, tmp_path, toy_mining):
+    @pytest.mark.parametrize("version", [0, store.FORMAT_VERSION + 1])
+    def test_wrong_version_rejected(self, tmp_path, toy_mining, version):
         import json
 
         path = tmp_path / "future.npz"
@@ -314,7 +412,7 @@ class TestFormatGuards:
         with np.load(path) as data:
             payload = {key: data[key] for key in data.files}
         manifest = json.loads(bytes(payload["manifest"]).decode("utf-8"))
-        manifest["version"] = store.FORMAT_VERSION + 1
+        manifest["version"] = version
         payload["manifest"] = np.frombuffer(
             json.dumps(manifest).encode("utf-8"), dtype=np.uint8
         )
@@ -417,3 +515,53 @@ class TestArrowExport:
         antecedents = table.column("antecedent").to_pylist()
         for row, rule in zip(antecedents, arrays.iter_rules()):
             assert row == [str(item) for item in sorted(rule.antecedent)]
+
+
+# ----------------------------------------------------------------------
+# Version 1 containers (every basis as columns)
+# ----------------------------------------------------------------------
+#: A Fig. 1 store with all nine bases, written by the version-1 writer
+#: (``repro save --minsup 0.4 --minconf 0.5 --bases <all nine>``).
+V1_FIXTURE = Path(__file__).parent / "golden" / "store_v1_fig1.npz"
+
+
+class TestVersion1:
+    def test_columns_equal_a_fresh_v2_save(self, tmp_path, toy_mining, toy_artifacts):
+        old = store.load_run(V1_FIXTURE, verify="full")
+        assert old.manifest["version"] == 1
+        path = tmp_path / "v2.npz"
+        save_artifacts(path, toy_mining, toy_artifacts)
+        new = store.load_run(path, verify="full")
+        assert new.manifest["version"] == store.FORMAT_VERSION == 2
+        assert set(old.rule_arrays) == set(new.rule_arrays) == set(registered_names())
+        for name in registered_names():
+            assert_same_rule_arrays(old.rule_arrays[name], new.rule_arrays[name])
+            assert old.basis_kinds[name] == new.basis_kinds[name]
+        assert old.frequent.same_contents(new.frequent)
+        assert old.lattice.hasse_edges() == new.lattice.hasse_edges()
+
+    def test_repro_load_prints_it(self, capsys):
+        assert cli.main(["load", str(V1_FIXTURE)]) == 0
+        out = capsys.readouterr().out
+        assert "repro-store v1" in out
+        assert "basis all [all]: 50 rules" in out
+        assert "basis informative-reduced [approximate]: 7 rules" in out
+
+    def test_update_store_writes_v2(self, tmp_path):
+        from repro.incremental.store import update_store
+
+        path = tmp_path / "v1.npz"
+        path.write_bytes(V1_FIXTURE.read_bytes())
+        update_store(path, [["a", "b", "e"]])
+        manifest = store.read_manifest(path)
+        assert manifest["version"] == store.FORMAT_VERSION
+        assert all("pairs" in entry for entry in manifest["bases"])
+        run = store.load_run(path, verify="full")
+        database = TransactionDatabase(
+            [*(sorted(row) for row in FIG1_ROWS), ["a", "b", "e"]], name="fig1"
+        )
+        fresh = build_rule_artifacts(
+            mine_itemsets(database, 0.4), minconf=0.5, bases=registered_names()
+        )
+        for name in registered_names():
+            assert_same_rule_arrays(run.rule_arrays[name], fresh[name].rule_arrays)

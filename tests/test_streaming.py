@@ -1,12 +1,13 @@
 """Streamed-vs-one-shot equivalence of the rule-basis construction.
 
-The informative / Luxenburger emitters CSR-expand their rule columns in
-bounded row blocks (:func:`~repro.core.rulearrays.resolve_block_rows`);
-these tests pin the contract that the streaming is *invisible*: every
-registered basis built with any ``block_rows`` equals the materialized
-one-shot build rule-for-rule, statistic-for-statistic and — for the
-array-native emitters — byte-for-byte, and the peak mask memory of a
-streamed build stays bounded by the output plus O(block) temporaries
+Every basis is assembled from row pairs by one streamed assembler,
+:meth:`~repro.core.rulearrays.RuleArrays.from_row_pairs`, in bounded row
+blocks (:func:`~repro.core.rulearrays.resolve_block_rows`) over any
+number of workers; these tests pin the contract that the streaming is
+*invisible*: the assembler equals a one-shot gather byte-for-byte for
+any ``block_rows`` and ``workers``, every registered basis built with
+any ``block_rows`` equals the default build, and the peak mask memory of
+a streamed build stays bounded by the output plus O(block) temporaries
 instead of growing with extra output-sized gathers.
 """
 
@@ -18,14 +19,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.algorithms.rule_generation import _naive_rules
 from repro.bases import registered_names
+from repro.core.bitmatrix import BitMatrix
 from repro.core.informative import InformativeBasis
 from repro.core.lattice import IcebergLattice
-from repro.core.luxenburger import LuxenburgerBasis
 from repro.core.rulearrays import RuleArrays, resolve_block_rows
 from repro.data.synthetic import make_rule_dense_family, rule_dense_expected_counts
 from repro.errors import InvalidParameterError
 from repro.experiments.harness import build_rule_artifacts, mine_itemsets
+
+from conftest import make_random_db
 
 #: The block sizes of the satellite contract: degenerate (1), odd (7),
 #: one word (64) and the auto default (None).
@@ -103,43 +107,56 @@ class TestBlockPlumbing:
 
 
 # ----------------------------------------------------------------------
-# Emitters: streamed == one-shot, byte for byte
+# The assembler: streamed == one-shot, byte for byte
 # ----------------------------------------------------------------------
-class TestEmitterEquivalence:
+def one_shot_gather(pairs, universe, n_objects) -> RuleArrays:
+    """Every rule of *pairs* gathered at once over the family's own items."""
+    x_rows, z_rows = pairs.antecedent_rows, pairs.union_rows
+    x_family, z_family = pairs.antecedents.packed(), pairs.unions.packed()
+    x = x_family.matrix.words[x_rows]
+    z = z_family.matrix.words[z_rows]
+    x_counts = x_family.counts[x_rows].astype(np.float64)
+    z_counts = z_family.counts[z_rows]
+    arrays = RuleArrays(
+        BitMatrix(x, z_family.matrix.n_cols),
+        BitMatrix(z & ~x, z_family.matrix.n_cols),
+        z_family.universe,
+        z_counts / n_objects,
+        z_counts / x_counts,
+        z_counts,
+    )
+    return arrays.project_to(universe)
+
+
+class TestAssemblerStreaming:
     @pytest.fixture(scope="class")
-    def workload(self):
+    def bases(self):
         closed, generators = make_rule_dense_family(25, 2)
-        return closed, generators, IcebergLattice(closed)
+        informative = InformativeBasis(generators, minconf=0.0, reduced=False)
+        dense = mine_itemsets(make_random_db(3, n_objects=60, max_row=7), 0.1)
+        rules, all_pairs = _naive_rules(dense.frequent, 0.3)
+        return [
+            (informative.rules.to_arrays(), informative.row_pairs, closed.n_objects),
+            (rules.to_arrays(), all_pairs, dense.frequent.n_objects),
+        ]
 
-    @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_luxenburger_streamed_equals_materialized(
-        self, workload, reduced, block_rows
-    ):
-        closed, _, lattice = workload
-        basis = LuxenburgerBasis(
-            closed,
-            minconf=0.0,
-            transitive_reduction=reduced,
-            lattice=lattice,
-            block_rows=block_rows,
-        )
-        assert_same_arrays(basis.rules.to_arrays(), basis._build_arrays_materialized())
-
-    @pytest.mark.parametrize("block_rows", BLOCK_SIZES)
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_informative_streamed_equals_materialized(
-        self, workload, reduced, block_rows
-    ):
-        _, generators, lattice = workload
-        basis = InformativeBasis(
-            generators,
-            minconf=0.0,
-            reduced=reduced,
-            lattice=lattice,
-            block_rows=block_rows,
-        )
-        assert_same_arrays(basis.rules.to_arrays(), basis._build_arrays_materialized())
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("block_rows", [1, 7, None])
+    def test_blocks_and_workers_equal_one_shot_gather(self, bases, block_rows, workers):
+        for built, pairs, n_objects in bases:
+            assembled = RuleArrays.from_row_pairs(
+                pairs.antecedents.packed(),
+                pairs.antecedent_rows,
+                pairs.unions.packed(),
+                pairs.union_rows,
+                built.universe,
+                n_objects,
+                block_rows=block_rows,
+                workers=workers,
+            )
+            assert len(assembled) > 100
+            assert_same_arrays(assembled, one_shot_gather(pairs, built.universe, n_objects))
+            assert_same_arrays(assembled, built)
 
 
 # ----------------------------------------------------------------------
