@@ -20,10 +20,13 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import AClose, Apriori, Charm, Close
 from repro.algorithms.rule_generation import generate_all_rules
+from repro.core.derivation import BasisDerivation
+from repro.core.dg_basis import build_duquenne_guigues_basis
 from repro.core.informative import InformativeBasis
 from repro.core.itemset import Itemset
 from repro.core.lattice import IcebergLattice
@@ -41,6 +44,7 @@ from repro.experiments.harness import mine_itemsets
 from repro.recommend import Recommender
 
 from oracles import (
+    canonical_order_reference,
     hasse_edges_reference,
     informative_rules_reference,
     luxenburger_rules_reference,
@@ -96,6 +100,38 @@ def test_engine_all_rules(benchmark, mined):
     """
     rules = benchmark(lambda: generate_all_rules(mined.frequent, minconf=0.7))
     assert len(rules) == MUSHROOM_ALL_RULES_AT_07
+
+
+def test_serve_snapshot_kernels(benchmark, mined):
+    """The kernels of a serve snapshot, on the MUSHROOM* ``all`` basis (gated).
+
+    What every ``ServeApp`` boot and reload runs besides the store load:
+    the canonical sort of the 58,721-rule ``all`` basis (byte-table bit
+    reversal, then one lexsort), the recommender's antecedent index
+    (built from runs of equal antecedents) and rank permutation, and the
+    derivation built from the families (DG, the reduced Luxenburger
+    basis, ``BasisDerivation``).  The lattice is shared, as the store
+    provides it.  The name matches the ``serve`` filter of the
+    regression gate.
+    """
+    arrays = generate_all_rules(mined.frequent, minconf=0.7).to_arrays()
+    lattice = IcebergLattice(mined.closed)
+
+    def snapshot():
+        engine = Recommender(arrays.sorted_canonically(), assume_canonical=True)
+        dg = build_duquenne_guigues_basis(mined.frequent, mined.closed)
+        luxenburger = LuxenburgerBasis(
+            mined.closed, minconf=0.0, transitive_reduction=True, lattice=lattice
+        )
+        return engine, BasisDerivation(dg, luxenburger, mined.closed.n_objects)
+
+    engine, derivation = benchmark(snapshot)
+    assert len(engine) == MUSHROOM_ALL_RULES_AT_07
+    expected = arrays.support_count[canonical_order_reference(arrays)]
+    assert np.array_equal(engine.arrays.support_count, expected)
+    assert engine.index.postings.size == engine.arrays.antecedents.count()
+    for closed, count in mined.closed.items_with_supports():
+        assert derivation.support_count_of_closed(closed) == count
 
 
 def test_engine_lattice_construction(benchmark, mined):

@@ -9,13 +9,13 @@ Luxenburger basis (or its transitive reduction) are *generating sets*:
   confidence, can be deduced from the Luxenburger basis (or its
   reduction).
 
-:class:`BasisDerivation` implements that deduction.  It only uses
-information carried by the bases themselves (rule sides, supports,
-confidences) plus the number of objects; in particular it never goes back
-to the transaction database, which is what makes the round-trip tests in
-``tests/test_derivation.py`` meaningful: rules derived here must match,
-rule for rule and statistic for statistic, the rules generated naively
-from the frequent itemsets.
+:class:`BasisDerivation` implements that deduction.  It only uses the
+two bases, the frequent closed itemsets with their supports and the
+number of objects — what Theorems 1 and 2 assume; in particular it never
+goes back to the transaction database, which is what makes the
+round-trip tests in ``tests/test_derivation.py`` meaningful: rules
+derived here must match, rule for rule and statistic for statistic, the
+rules generated naively from the frequent itemsets.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ class BasisDerivation:
         which maps any frequent itemset to its frequent-closed closure.
     luxenburger:
         A Luxenburger basis built on the same closed family (reduced or
-        full).  Its rules carry the supports of the closed itemsets and
-        the edge confidences used to reconstruct arbitrary confidences.
+        full).  Its closed family carries the support of every frequent
+        closed itemset, and its lattice the edge confidences used to
+        reconstruct arbitrary confidences.
     n_objects:
         Number of objects of the context (to convert counts to relative
         supports).
@@ -53,12 +54,10 @@ class BasisDerivation:
     Notes
     -----
     The derivation needs the support of the *minimal* frequent closed
-    itemset (the closure of the empty set), which by definition never
-    appears as the head of a Luxenburger rule when it has no predecessor.
-    Its support is always ``n_objects`` when the closure of the empty set
-    is the empty set; otherwise it equals the support carried by the
-    Duquenne-Guigues rule ``∅ → h(∅)``.  Both cases are handled without
-    touching the database.
+    itemset (the closure of the empty set).  When no item is in every
+    object that closure is the empty itemset, which no family lists; its
+    support is ``n_objects`` by definition.  Otherwise it is a member of
+    the closed family like any other.  Neither case touches the database.
     """
 
     def __init__(
@@ -72,39 +71,6 @@ class BasisDerivation:
         self._dg = dg_basis
         self._lux = luxenburger
         self._n_objects = n_objects
-        self._closed_supports = self._recover_closed_supports()
-
-    # ------------------------------------------------------------------
-    # Support recovery from the bases alone
-    # ------------------------------------------------------------------
-    def _recover_closed_supports(self) -> dict[Itemset, int]:
-        """Recover the support of every frequent closed itemset from the bases."""
-        supports: dict[Itemset, int] = {}
-
-        # Every Luxenburger rule C1 → C2\C1 carries supp(C2) as its support
-        # count, and supp(C1) = supp(C2) / confidence.
-        for rule in self._lux.rules:
-            head = rule.antecedent.union(rule.consequent)
-            count = rule.support_count
-            if count is None:
-                count = round(rule.support * self._n_objects)
-            supports[head] = int(count)
-            antecedent_count = int(round(count / rule.confidence))
-            supports.setdefault(rule.antecedent, antecedent_count)
-
-        # Exact rules carry supp(h(P)) for their closures.
-        for rule in self._dg.rules:
-            closure = rule.antecedent.union(rule.consequent)
-            count = rule.support_count
-            if count is None:
-                count = round(rule.support * self._n_objects)
-            supports.setdefault(closure, int(count))
-
-        # The closure of the empty set: if it is the empty itemset it never
-        # appears above; its support is the whole database by definition.
-        bottom = self.closure(Itemset.empty())
-        supports.setdefault(bottom, self._n_objects)
-        return supports
 
     # ------------------------------------------------------------------
     # Primitive queries
@@ -121,20 +87,18 @@ class BasisDerivation:
     def support_count_of_closed(self, closed: Itemset) -> int:
         """Absolute support of a frequent closed itemset.
 
-        The support is first looked up among the values carried by the basis
-        rules themselves.  When the Luxenburger basis was built with a
-        confidence filter, some closed itemsets may head no surviving rule;
-        their support is then read from the frequent closed family attached
-        to the basis — which is legitimate, since the paper's deduction
-        framework always assumes the frequent closed itemsets (the minimal
-        generating set for all supports) are available alongside the bases.
+        Read from the frequent closed family the Luxenburger basis was
+        built on, which holds every support as an exact count: the
+        paper's deduction framework assumes the frequent closed itemsets
+        (the minimal generating set for all supports) alongside the
+        bases.  The closure of the empty set is no member when it is the
+        empty itemset; its support is then ``n_objects``.
         """
-        count = self._closed_supports.get(closed)
+        count = self._lux.closed_family.get(closed)
         if count is not None:
             return count
-        family = self._lux.closed_family
-        if closed in family:
-            return family.support_count(closed)
+        if not closed and not self.closure(closed):
+            return self._n_objects
         raise DerivationError(
             f"the support of closed itemset {closed} is not recoverable from "
             "the bases; the itemset is probably not frequent at the mining "
@@ -171,7 +135,7 @@ class BasisDerivation:
             return 1.0
         path_confidence = self._lux.path_confidence(lower, upper)
         if path_confidence is None and not lower:
-            return self.support_count_of_closed(upper) / self._closed_supports[lower]
+            return self.support_count_of_closed(upper) / self._n_objects
         if path_confidence is None:
             raise DerivationError(
                 f"no Luxenburger path between {lower} and {upper}; "

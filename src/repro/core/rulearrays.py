@@ -33,8 +33,9 @@ build a basis and for the store when it loads one.
 
 Rows are trusted to describe well-formed rules (disjoint sides,
 non-empty consequent, probabilities in range) — the builders construct
-them from lattice invariants that guarantee it, and
-:meth:`RuleArrays.validate` re-checks the contract in tests.
+them from lattice invariants that guarantee it.
+:meth:`RuleArrays.validate` re-checks the contract: the store on every
+basis it loads as columns, the tests on the built ones.
 """
 
 from __future__ import annotations
@@ -254,29 +255,25 @@ def mask_to_itemset(matrix: BitMatrix, row: int, universe: Sequence[Item]) -> It
     return Itemset(universe[position] for position in matrix.row_indices(row))
 
 
+#: Every byte value with its eight bits in reverse order.
+_REVERSED_BYTES = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1),
+    axis=1,
+    bitorder="little",
+).ravel()
+
+
 def _reversed_bit_rows(matrix: BitMatrix) -> np.ndarray:
     """Each row's bit string reversed over the full padded word width.
 
     Used by the canonical sort: for two masks of equal popcount, the
     ascending-index tuple of ``x`` precedes that of ``y`` exactly when
     the *lowest* differing bit belongs to ``x`` — i.e. when the
-    bit-reversed row of ``x`` is the *larger* multiword integer.  Rows
-    are processed in bounded blocks so the unpacked bool temporaries
-    never exceed the shared working-set budget.
+    bit-reversed row of ``x`` is the *larger* multiword integer.  The
+    row's bytes are taken in reverse order and each is bit-reversed
+    through a 256-entry table; the only new array is the output.
     """
-    n_rows, n_words = matrix.words.shape
-    out = np.empty((n_rows, n_words), dtype=np.uint64)
-    if n_words == 0 or n_rows == 0:
-        return out
-    block = max(1, _BLOCK_CELLS // max(1, n_words * 64))
-    for start in range(0, n_rows, block):
-        raw = np.ascontiguousarray(matrix.words[start : start + block]).view(np.uint8)
-        bits = np.unpackbits(raw, axis=1, bitorder="little")
-        packed = np.packbits(bits[:, ::-1], axis=1, bitorder="little")
-        out[start : start + bits.shape[0]] = np.ascontiguousarray(packed).view(
-            np.uint64
-        )
-    return out
+    return _REVERSED_BYTES[matrix.words.view(np.uint8)[:, ::-1]].view(np.uint64)
 
 
 class RuleArrays:
@@ -876,23 +873,41 @@ class RuleArrays:
             yield self.rule_at(row)
 
     # ------------------------------------------------------------------
-    # Contract checking (tests)
+    # Contract checking
     # ------------------------------------------------------------------
     def validate(self) -> list[str]:
-        """Re-check the well-formed-rule contract; returns violations."""
-        problems: list[str] = []
-        overlap = (self.antecedents.words & self.consequents.words).any(axis=1)
-        for row in np.nonzero(overlap)[0]:
-            problems.append(f"row {row}: antecedent and consequent overlap")
-        empty = self.consequents.row_counts() == 0
-        for row in np.nonzero(empty)[0]:
-            problems.append(f"row {row}: empty consequent")
-        bad_support = (self.support < -EPSILON) | (self.support > 1.0 + EPSILON)
-        for row in np.nonzero(bad_support)[0]:
-            problems.append(f"row {row}: support {self.support[row]} out of range")
-        bad_conf = (self.confidence <= 0.0) | (self.confidence > 1.0 + EPSILON)
-        for row in np.nonzero(bad_conf)[0]:
-            problems.append(
-                f"row {row}: confidence {self.confidence[row]} out of range"
-            )
+        """Re-check the well-formed-rule contract; returns violations.
+
+        One message per broken clause, opening with the column at fault
+        and naming its first offending row: mask bits past the universe,
+        a consequent overlapping its antecedent or empty, a support
+        outside ``[0, 1]`` or a confidence outside ``(0, 1]`` (NaN and
+        infinities included), a support count below the ``-1`` "unknown"
+        marker.  The store rejects a column-encoded basis on the first.
+        """
+        valid_bits = BitMatrix.zeros(1, len(self.universe)).logical_not().words
+        x, y = self.antecedents.words, self.consequents.words
+        support, confidence, count = self.support, self.confidence, self.support_count
+        # (column, its values when the message shows them, broken rows, what)
+        past_universe = "items past the universe"
+        checks = (
+            ("antecedents", None, (x & ~valid_bits).any(axis=1), past_universe),
+            ("consequents", None, (y & ~valid_bits).any(axis=1), past_universe),
+            ("consequents", None, (x & y).any(axis=1), "overlaps its antecedent"),
+            ("consequents", None, ~y.any(axis=1), "empty consequent"),
+            ("support", support, ~((support >= 0) & (support <= 1)), "outside [0, 1]"),
+            (
+                "confidence",
+                confidence,
+                ~((confidence > 0) & (confidence <= 1)),
+                "outside (0, 1]",
+            ),
+            ("support_count", count, count < -1, "below -1"),
+        )
+        problems = []
+        for column, values, broken, what in checks:
+            if broken.any():
+                row = int(np.argmax(broken))
+                shown = "" if values is None else f"{values[row]} "
+                problems.append(f"{column}: row {row}: {shown}{what}")
         return problems

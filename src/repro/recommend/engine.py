@@ -191,11 +191,11 @@ class Recommender:
         # this precomputed rank lets the kernel scan candidates
         # best-first and stop as soon as k distinct novel consequents
         # have appeared, instead of scoring and deduplicating the whole
-        # matched set.
+        # matched set.  lexsort is stable, so equal keys keep row order.
         n_rows = len(arrays)
         self._row_of_rank = np.lexsort(
-            (np.arange(n_rows), -arrays.support, -arrays.confidence)
-        ).astype(np.int64)
+            (-arrays.support, -arrays.confidence)
+        ).astype(np.int64, copy=False)
         self._rank_of_row = np.empty(n_rows, dtype=np.int64)
         self._rank_of_row[self._row_of_rank] = np.arange(n_rows, dtype=np.int64)
 

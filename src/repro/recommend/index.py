@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.bitmatrix import BitMatrix
 from ..core.rulearrays import RuleArrays
 
 __all__ = ["AntecedentIndex"]
@@ -67,21 +68,25 @@ class AntecedentIndex:
 
     def __init__(self, arrays: RuleArrays) -> None:
         self.arrays = arrays
-        n_items = len(arrays.universe)
+        words = arrays.antecedents.words
         sizes = arrays.antecedents.row_counts()
-        rows, cols = arrays.antecedents.nonzero()
-        # Stable sort by item position: nonzero() emits row-major order,
+        # Equal antecedents are adjacent in canonical order: expand the
+        # items of one row per run, then post each run as a row range.
+        run_start = np.ones(len(words), dtype=bool)
+        run_start[1:] = (words[1:] != words[:-1]).any(axis=1)
+        starts = np.flatnonzero(run_start)
+        runs, cols = BitMatrix(words[starts], arrays.antecedents.n_cols).nonzero()
+        # Stable sort by item position: nonzero() emits runs in row order,
         # so rows stay ascending within each item's postings slice.
         order = np.argsort(cols, kind="stable")
-        postings = rows[order].astype(np.int64, copy=False)
-        if cols.size:
-            counts = np.bincount(cols, minlength=n_items)
-        else:
-            counts = np.zeros(n_items, dtype=np.int64)
-        indptr = np.zeros(n_items + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self.indptr = indptr
-        self.postings = postings
+        runs = runs[order]
+        lengths = np.diff(starts, append=len(words))[runs]
+        ends = np.cumsum(lengths)
+        self.postings = np.repeat(starts[runs] + lengths - ends, lengths)
+        self.postings += np.arange(len(self.postings))
+        # Item p's slice starts where the postings of the items below p end.
+        items = np.arange(len(arrays.universe) + 1)
+        self.indptr = np.append(0, ends)[np.searchsorted(cols[order], items)]
         self.antecedent_sizes = sizes
         self.always_rows = np.flatnonzero(sizes == 0).astype(np.int64)
         self.max_antecedent_size = int(sizes.max()) if sizes.size else 0

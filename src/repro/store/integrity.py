@@ -14,8 +14,9 @@ to decompress, only when numpy surfaces the failure readably, and with
 * at **load** time, :func:`verify_container` replays the check behind
   three modes — ``"manifest"`` (structural: every manifest-listed
   array present in the file and vice versa, digests recorded),
-  ``"full"`` (additionally decompress every array and compare its
-  SHA-256 against the manifest) and ``"off"``.
+  ``"full"`` (additionally compare every array's SHA-256 against the
+  manifest, each hashed from the one decompression its section reads)
+  and ``"off"``.
 
 Every failure raises :class:`~repro.errors.StoreIntegrityError` naming
 the first offending array, so a corrupted store is rejected loudly at
@@ -35,6 +36,7 @@ from ..errors import InvalidParameterError, StoreIntegrityError
 __all__ = [
     "DIGEST_ALGORITHM",
     "VERIFY_MODES",
+    "VerifyingContainer",
     "array_digest",
     "compute_digests",
     "resolve_verify_mode",
@@ -106,7 +108,54 @@ def resolve_verify_mode(verify: str) -> str:
     return verify
 
 
-def verify_container(data, manifest: dict, source, verify: str) -> None:
+class VerifyingContainer:
+    """An opened container that checks each array's digest on its first read.
+
+    Returned by :func:`verify_container`; the loader reads every section
+    through it, so under ``verify="full"`` each array is decompressed
+    once, and hashed from the same bytes its section then uses.
+    :meth:`verify_unread` checks the arrays no section read, one at a
+    time, so none of them stays resident.  In the other modes no array
+    is pending and reads pass straight through.
+    """
+
+    def __init__(self, data, source, recorded: dict[str, str]) -> None:
+        self._data = data
+        self._source = source
+        # The digest of every array not read yet.
+        self._pending = dict(recorded)
+
+    def __contains__(self, key: str) -> bool:
+        """Return whether the container holds array *key*."""
+        return key in self._data
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        """Return array *key*, checking its digest on its first read."""
+        expected = self._pending.pop(key, None)
+        if expected is None:
+            return self._data[key]
+        try:
+            array = self._data[key]
+            actual = array_digest(array)
+        except (ValueError, OSError, zipfile.BadZipFile, zlib.error, EOFError) as exc:
+            raise StoreIntegrityError(
+                f"{self._source}: array {key!r} is unreadable ({exc})"
+            ) from None
+        if actual != expected:
+            raise StoreIntegrityError(
+                f"{self._source}: array {key!r} failed {DIGEST_ALGORITHM} "
+                f"verification (stored {expected[:12]}..., "
+                f"computed {actual[:12]}...)"
+            )
+        return array
+
+    def verify_unread(self) -> None:
+        """Check every array not read yet, one at a time, in key order."""
+        for key in sorted(self._pending):
+            self[key]  # raises on a mismatch; the array is dropped at once
+
+
+def verify_container(data, manifest: dict, source, verify: str) -> VerifyingContainer:
     """Check one opened container against its manifest's integrity section.
 
     Parameters
@@ -118,22 +167,29 @@ def verify_container(data, manifest: dict, source, verify: str) -> None:
     source : str or Path
         The file path, for error messages.
     verify : str
-        One of :data:`VERIFY_MODES`.  ``"off"`` returns immediately;
-        ``"manifest"`` checks the array inventory both ways;
-        ``"full"`` additionally decompresses every array and compares
-        its SHA-256 digest against the recorded one.
+        One of :data:`VERIFY_MODES`.  ``"off"`` checks nothing;
+        ``"manifest"`` checks the array inventory both ways; ``"full"``
+        additionally compares every array's SHA-256 digest against the
+        recorded one, as the returned container reads it.
+
+    Returns
+    -------
+    VerifyingContainer
+        The container to read the sections from.  Under ``"full"`` call
+        its :meth:`~VerifyingContainer.verify_unread` once they are read.
 
     Raises
     ------
     StoreIntegrityError
         On a missing integrity section, an unknown digest algorithm, an
-        array listed but absent (or present but unlisted), an array
-        whose compressed bytes cannot be decoded, or a digest mismatch.
+        array listed but absent (or present but unlisted), and — when
+        the array is read — an array whose compressed bytes cannot be
+        decoded, or a digest mismatch.
     InvalidParameterError
         When *verify* is not a recognized mode.
     """
     if resolve_verify_mode(verify) == "off":
-        return
+        return VerifyingContainer(data, source, {})
     integrity = manifest.get("integrity")
     if not isinstance(integrity, dict) or "arrays" not in integrity:
         raise StoreIntegrityError(
@@ -161,18 +217,4 @@ def verify_container(data, manifest: dict, source, verify: str) -> None:
             f"{source}: container holds array(s) the manifest never "
             f"recorded: {', '.join(unlisted)}"
         )
-    if verify != "full":
-        return
-    for key in sorted(listed):
-        try:
-            actual = array_digest(data[key])
-        except (ValueError, OSError, zipfile.BadZipFile, zlib.error, EOFError) as exc:
-            raise StoreIntegrityError(
-                f"{source}: array {key!r} is unreadable ({exc})"
-            ) from None
-        if actual != recorded[key]:
-            raise StoreIntegrityError(
-                f"{source}: array {key!r} failed {DIGEST_ALGORITHM} "
-                f"verification (stored {recorded[key][:12]}..., "
-                f"computed {actual[:12]}...)"
-            )
+    return VerifyingContainer(data, source, recorded if verify == "full" else {})

@@ -292,14 +292,30 @@ def _load_rules(
     universe = _decode_items(data[f"{prefix}__universe"])
     pairs = entry.get("pairs")
     if pairs is None:
-        return RuleArrays(
-            BitMatrix(data[f"{prefix}__antecedents"], len(universe)),
-            BitMatrix(data[f"{prefix}__consequents"], len(universe)),
-            universe,
-            data[f"{prefix}__support"],
-            data[f"{prefix}__confidence"],
-            data[f"{prefix}__support_count"],
+        # Stored columns are checked here; the assembler checks row pairs.
+        # They are read outside the try, so a digest failure stays a
+        # StoreIntegrityError.
+        antecedents, consequents, support, confidence, counts = (
+            data[f"{prefix}__{label}"]
+            for label in (
+                "antecedents", "consequents", "support", "confidence", "support_count"
+            )
         )
+        try:
+            arrays = RuleArrays(
+                BitMatrix(antecedents, len(universe)),
+                BitMatrix(consequents, len(universe)),
+                universe,
+                support,
+                confidence,
+                counts,
+            )
+        except ValueError as exc:
+            raise StoreFormatError(f"{path}: {prefix}: {exc}") from None
+        problems = arrays.validate()
+        if problems:
+            raise StoreFormatError(f"{path}: {prefix}__{problems[0]}")
+        return arrays
     antecedents = _row_source(pairs.get("antecedent"), data, manifest, path, sources)
     unions = _row_source(pairs.get("union"), data, manifest, path, sources)
     union_family = "closed" if pairs["union"] == "generators" else pairs["union"]
@@ -651,8 +667,9 @@ def load_run(
         Integrity verification mode (see :mod:`repro.store.integrity`):
         ``"manifest"`` (the default) cross-checks the manifest's array
         inventory against the container, ``"full"`` additionally
-        recomputes every array's SHA-256 digest, ``"off"`` skips
-        verification entirely.
+        recomputes every array's SHA-256 digest (from the one
+        decompression its section reads), ``"off"`` skips verification
+        entirely.
 
     Returns
     -------
@@ -674,7 +691,7 @@ def load_run(
         if "manifest" not in data:
             raise StoreFormatError(f"{path} has no store manifest")
         manifest = _parse_manifest(data["manifest"], path)
-        verify_container(data, manifest, path, verify)
+        container = verify_container(data, manifest, path, verify)
         present = set(manifest.get("sections", []))
         wanted = present if sections is None else set(sections) & present
         if wanted & {"generators", "order"}:
@@ -683,7 +700,8 @@ def load_run(
 
         run = StoredRun(path=path, manifest=manifest)
         try:
-            _load_sections(run, data, manifest, wanted, retain_containment)
+            _load_sections(run, container, manifest, wanted, retain_containment)
+            container.verify_unread()
         except (zipfile.BadZipFile, zlib.error, EOFError, KeyError) as exc:
             # A flipped byte inside a compressed member surfaces as a
             # zip/zlib decode failure (or a missing key) at read time;
@@ -703,6 +721,20 @@ def _load_sections(
         items = _decode_items(data["context__items"])
         indptr = _int64(data, "context__indptr")
         item_ids = _int64(data, "context__item_ids")
+        if not (
+            indptr.size
+            and indptr[0] == 0
+            and indptr[-1] == item_ids.size
+            and (np.diff(indptr) >= 0).all()
+        ):
+            raise StoreFormatError(
+                f"{run.path}: context__indptr must start at 0, never decrease "
+                f"and end at the {item_ids.size} stored item ids"
+            )
+        if item_ids.size and not 0 <= item_ids.min() <= item_ids.max() < len(items):
+            raise StoreFormatError(
+                f"{run.path}: context__item_ids must index the {len(items)} items"
+            )
         transactions = [
             [items[c] for c in item_ids[indptr[i] : indptr[i + 1]]]
             for i in range(len(indptr) - 1)

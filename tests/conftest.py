@@ -8,15 +8,24 @@ The fixtures revolve around three kinds of data:
   a single transaction);
 * small seeded random and generated datasets for cross-checking the
   algorithms against brute-force oracles.
+
+It also holds :func:`rule_arrays_cases`, the hypothesis strategy of
+random rule collections shared by the snapshot-kernel properties.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro import Apriori, Close, TransactionDatabase
+from repro.core.bitmatrix import BitMatrix
+from repro.core.rulearrays import RuleArrays
+
+from oracles import canonical_order_reference
 from repro.data.benchmarks_data import make_categorical_dataset
 from repro.data.synthetic import make_quest_dataset
 
@@ -119,3 +128,37 @@ def sparse_smoke_db() -> TransactionDatabase:
         seed=3,
         name="sparse-smoke",
     )
+
+
+@st.composite
+def rule_arrays_cases(draw):
+    """Random ``RuleArrays`` for the serve-snapshot kernel properties.
+
+    Universes of 0, 1, 63, 64, 65 and 130 items (each word boundary);
+    0, 1 or many rows; antecedents drawn with repeats from a pool that
+    may hold the empty one, so sorted rows form runs of equal
+    antecedents; few distinct supports and confidences, so the rank
+    order has ties.  Rows come shuffled or in canonical order (the
+    reference sort's).
+    """
+    n_items = draw(st.sampled_from([0, 1, 63, 64, 65, 130]))
+    n_rows = draw(st.sampled_from([0, 1]) | st.integers(min_value=2, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_distinct = int(rng.integers(1, max(1, n_rows) + 1))
+    pool = np.zeros((n_distinct, n_items), dtype=bool)
+    for row in range(n_distinct):
+        size = int(rng.integers(0, min(n_items, 4) + 1))
+        pool[row, rng.choice(n_items, size=size, replace=False)] = True
+    antecedents = pool[rng.integers(0, n_distinct, size=n_rows)]
+    consequents = (rng.random((n_rows, n_items)) < 3 / max(1, n_items)) & ~antecedents
+    arrays = RuleArrays(
+        BitMatrix.from_dense(antecedents),
+        BitMatrix.from_dense(consequents),
+        tuple(range(n_items)),
+        rng.choice([0.2, 0.4, 0.6], size=n_rows),
+        rng.choice([0.25, 0.5, 1.0], size=n_rows),
+        rng.integers(-1, 50, size=n_rows),
+    )
+    if draw(st.booleans()):
+        arrays = arrays.take(canonical_order_reference(arrays))
+    return arrays

@@ -14,12 +14,14 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.algorithms.base import MiningStatistics
+from repro.core.bitmatrix import BitMatrix
 from repro.core.constants import EPSILON
 from repro.core.families import ClosedItemsetFamily, ItemsetFamily
 from repro.core.generators import GeneratorFamily
 from repro.core.itemset import Itemset
 from repro.core.lattice import IcebergLattice
 from repro.core.order import OrderCore, pack_itemset_masks
+from repro.core.rulearrays import RuleArrays
 from repro.core.rules import AssociationRule, RuleSet
 from repro.data.context import TransactionDatabase
 
@@ -424,3 +426,92 @@ def aclose_reference(
         closure: sorted(members) for closure, members in generators_by_closure.items()
     }
     return MinerReference(family, statistics, generators, ordered)
+
+
+# ----------------------------------------------------------------------
+# Serve snapshot: the kernels the byte table, the antecedent runs and
+# the stored closed family replaced
+# ----------------------------------------------------------------------
+def reversed_bit_rows_reference(matrix: BitMatrix) -> np.ndarray:
+    """Each row's bit string reversed over the full padded word width.
+
+    Unpacks every row to one byte per bit and packs it back reversed:
+    the reference of the byte-table reversal in
+    :mod:`repro.core.rulearrays`.
+    """
+    n_rows, n_words = matrix.words.shape
+    if n_words == 0 or n_rows == 0:
+        return np.empty((n_rows, n_words), dtype=np.uint64)
+    raw = np.ascontiguousarray(matrix.words).view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")
+    packed = np.packbits(bits[:, ::-1], axis=1, bitorder="little")
+    return np.ascontiguousarray(packed).view(np.uint64)
+
+
+def canonical_order_reference(arrays: RuleArrays) -> np.ndarray:
+    """:meth:`RuleArrays.canonical_order` over the unpacked bit reversal."""
+    keys: list[np.ndarray] = []
+    for matrix in (arrays.consequents, arrays.antecedents):
+        reversed_rows = reversed_bit_rows_reference(matrix)
+        keys.extend(~reversed_rows[:, word] for word in range(reversed_rows.shape[1]))
+        keys.append(matrix.row_counts())
+    return np.lexsort(keys)
+
+
+class AntecedentIndexReference(NamedTuple):
+    """The arrays of an :class:`~repro.recommend.index.AntecedentIndex`."""
+
+    indptr: np.ndarray
+    postings: np.ndarray
+    antecedent_sizes: np.ndarray
+    always_rows: np.ndarray
+
+
+def antecedent_index_reference(arrays: RuleArrays) -> AntecedentIndexReference:
+    """The CSR postings from every set antecedent bit, one per rule.
+
+    Expands each row's bits through ``BitMatrix.nonzero`` and sorts the
+    postings by item with a stable sort, so rows stay ascending per item.
+    """
+    n_items = len(arrays.universe)
+    sizes = arrays.antecedents.row_counts()
+    rows, cols = arrays.antecedents.nonzero()
+    postings = rows[np.argsort(cols, kind="stable")].astype(np.int64)
+    indptr = np.zeros(n_items + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n_items), out=indptr[1:])
+    return AntecedentIndexReference(
+        indptr, postings, sizes, np.flatnonzero(sizes == 0).astype(np.int64)
+    )
+
+
+def rank_permutation_reference(arrays: RuleArrays) -> np.ndarray:
+    """Rows by confidence desc, support desc, then row asc, an explicit key."""
+    return np.lexsort(
+        (np.arange(len(arrays)), -arrays.support, -arrays.confidence)
+    ).astype(np.int64)
+
+
+def recover_closed_supports_reference(
+    dg_basis, luxenburger, n_objects: int
+) -> dict[Itemset, int]:
+    """Closed supports decoded from the rules of the two bases.
+
+    Each Luxenburger rule ``C1 → C2 \\ C1`` carries ``supp(C2)`` and
+    gives ``supp(C1)`` as ``round(count / confidence)``; each
+    Duquenne-Guigues rule carries the support of its closure; ``h(∅)``
+    gets ``n_objects`` when no rule names it.
+    """
+    supports: dict[Itemset, int] = {}
+    for rule in luxenburger.rules:
+        count = rule.support_count
+        if count is None:
+            count = round(rule.support * n_objects)
+        supports[rule.antecedent.union(rule.consequent)] = int(count)
+        supports.setdefault(rule.antecedent, int(round(count / rule.confidence)))
+    for rule in dg_basis.rules:
+        count = rule.support_count
+        if count is None:
+            count = round(rule.support * n_objects)
+        supports.setdefault(rule.antecedent.union(rule.consequent), int(count))
+    supports.setdefault(dg_basis.implied_closure(Itemset.empty()), n_objects)
+    return supports

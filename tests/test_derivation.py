@@ -9,6 +9,7 @@ confidence — from the bases alone.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     Apriori,
@@ -23,7 +24,10 @@ from repro.algorithms.rule_generation import (
     generate_exact_rules,
 )
 from repro.core.itemset import Itemset
+from repro.data.context import TransactionDatabase
 from repro.errors import DerivationError, InvalidParameterError
+
+from oracles import recover_closed_supports_reference
 
 
 def build_derivation(db, minsup, minconf=0.0):
@@ -138,3 +142,43 @@ class TestRoundTrip:
         naive = generate_all_rules(frequent, minconf=0.5)
         derived = derivation.derive_all_rules(frequent, 0.5)
         assert naive.same_rules_and_statistics(derived)
+
+
+@st.composite
+def derivation_cases(draw):
+    """Small random contexts; with ``universal`` every object holds ``x``."""
+    pool = ["a", "b", "c", "d", "e", "f"]
+    rows = draw(
+        st.lists(st.sets(st.sampled_from(pool)), min_size=1, max_size=12)
+    )
+    universal = draw(st.booleans())
+    if universal:
+        rows = [row | {"x"} for row in rows]
+    minsup = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    minconf = draw(st.sampled_from([0.0, 0.6]))
+    reduced = draw(st.booleans())
+    db = TransactionDatabase([sorted(row) for row in rows])
+    return db, universal, minsup, minconf, reduced
+
+
+@given(case=derivation_cases())
+@settings(deadline=None, max_examples=80)
+def test_property_closed_supports_equal_the_reference_recovery(case):
+    """Supports read from the closed family == those decoded from the rules."""
+    db, universal, minsup, minconf, reduced = case
+    frequent = Apriori(minsup).mine(db)
+    closed = Close(minsup).mine(db)
+    dg = build_duquenne_guigues_basis(frequent, closed)
+    lux = LuxenburgerBasis(closed, minconf=minconf, transitive_reduction=reduced)
+    derivation = BasisDerivation(dg, lux, n_objects=db.n_objects)
+    recovered = recover_closed_supports_reference(dg, lux, db.n_objects)
+    bottom = derivation.closure(Itemset.empty())
+    if universal:
+        assert "x" in bottom  # h(∅) ≠ ∅: a member of the closed family
+    for itemset, count in recovered.items():
+        assert derivation.support_count_of_closed(itemset) == count
+    for itemset, count in closed.items_with_supports():
+        assert derivation.support_count_of_closed(itemset) == count
+    assert derivation.support_count_of_closed(bottom) == (
+        closed.get(bottom, db.n_objects)
+    )

@@ -13,8 +13,9 @@ claims to catch through a real saved container:
 * a stale digest (manifest lists a wrong hash) — ``verify="full"``
   raises, ``verify="manifest"`` (inventory only) still loads.
 
-Index arrays rewritten out of range, with their digests recomputed so
-only the range checks can catch them, fail with a typed
+Index arrays rewritten out of range, and the columns of a basis stored
+as columns rewritten out of contract, with their digests recomputed so
+only the load checks can catch them, fail with a typed
 :class:`~repro.errors.StoreFormatError` naming the array.
 
 Plus: a live :class:`~repro.serve.app.ServeApp` keeps serving the old
@@ -47,7 +48,7 @@ from repro.experiments.harness import (
 )
 from repro.ioutils import atomic_write
 from repro.serve import ServeApp
-from repro.store import load_run, read_manifest
+from repro.store import load_run, read_manifest, save_run
 from repro.store.integrity import array_digest
 from repro.testing import FaultInjector
 
@@ -66,9 +67,28 @@ def build_store(path):
     return save_artifacts(path, mining, build_rule_artifacts(mining, 0.7))
 
 
+def build_column_store(path):
+    """The Fig. 1 families and Luxenburger basis, the basis as bare columns ``lux``."""
+    db = TransactionDatabase(FIG1, name="fig1")
+    mining = mine_itemsets(db, minsup=0.4)
+    arrays = build_rule_artifacts(mining, 0.7, bases=["luxenburger"])[
+        "luxenburger"
+    ].rule_arrays
+    return save_run(
+        path, frequent=mining.frequent, closed=mining.closed, rule_arrays={"lux": arrays}
+    )
+
+
 @pytest.fixture()
 def store_path(tmp_path):
     return build_store(tmp_path / "fig1.npz")
+
+
+def store_holding(key, request):
+    """The store whose array *key* a case rewrites: the column store for ``lux``."""
+    if key.startswith("rules__lux__"):
+        return build_column_store(request.getfixturevalue("tmp_path") / "lux.npz")
+    return request.getfixturevalue("store_path")
 
 
 def rezip(source, dest, mutate):
@@ -119,10 +139,30 @@ def set_first(value):
     return mutate
 
 
-#: ``(array, mutation)`` pairs that leave an index array out of range.
-#: On the Fig. 1 store the frequent family has 15 rows, the last one
+def set_cell(index, value):
+    def mutate(array):
+        array[index] = value
+        return array
+
+    return mutate
+
+
+def set_bit_63(array):
+    """Set the padding bit 63 of the first mask word (the universe has 5 items)."""
+    array[0, 0] |= np.uint64(1) << np.uint64(63)
+    return array
+
+
+def swap_second_and_third(array):
+    array[[1, 2]] = array[[2, 1]]
+    return array
+
+
+#: ``(array, mutation)`` pairs that leave an index array out of range, or
+#: a column of the ``lux`` basis (stored as columns) out of contract.  On
+#: the Fig. 1 store the frequent family has 15 rows, the last one
 #: ``abce`` (no proper subset of any frequent itemset), and the closed
-#: family 5.
+#: family 5; the context has 5 objects over 5 items.
 OUT_OF_RANGE = {
     "edge-row-past-n": ("order__rows", set_first(99)),
     "edge-col-past-n": ("order__cols", set_first(99)),
@@ -140,6 +180,21 @@ OUT_OF_RANGE = {
     "pair-antecedent-not-proper-subset": (
         "rules__all__antecedent_rows", set_first(14)
     ),
+    "context-indptr-decreasing": ("context__indptr", swap_second_and_third),
+    "context-indptr-past-item-ids": ("context__indptr", set_cell(-1, 99)),
+    "context-item-id-past-items": ("context__item_ids", set_first(9)),
+    "column-confidence-above-one": ("rules__lux__confidence", set_cell(0, 7.5)),
+    "column-confidence-zero": ("rules__lux__confidence", set_cell(0, 0.0)),
+    "column-confidence-nan": ("rules__lux__confidence", set_cell(0, np.nan)),
+    "column-support-negative": ("rules__lux__support", set_cell(0, -0.25)),
+    "column-support-infinite": ("rules__lux__support", set_cell(0, np.inf)),
+    "column-support-count-below-marker": (
+        "rules__lux__support_count", set_cell(0, -2)
+    ),
+    "column-antecedent-padding-bit": ("rules__lux__antecedents", set_bit_63),
+    "column-consequent-padding-bit": ("rules__lux__consequents", set_bit_63),
+    "column-sides-overlap": ("rules__lux__consequents", set_cell(0, 0b11111)),
+    "column-empty-consequent": ("rules__lux__consequents", set_cell(0, 0)),
 }
 
 
@@ -198,25 +253,30 @@ class TestCorruptionMatrix:
 
         The flip happens on the *decompressed* bytes and the member is
         re-zipped, so zip CRCs are valid and only the digests disagree.
+        Both stores: bases as row pairs, and a basis as bare columns;
+        both the arrays a section reads and those none reads.
         """
         corrupt = tmp_path / "corrupt.npz"
         flipped = 0
-        for key in listed_arrays(store_path):
-            member = f"{key}.npy"
+        for source in (store_path, build_column_store(tmp_path / "lux.npz")):
+            for key in listed_arrays(source):
+                member = f"{key}.npy"
 
-            def mutate(name, payload, member=member):
-                if name != member:
-                    return payload
-                mutated = bytearray(payload)
-                mutated[-1] ^= 0x01  # last byte: array data, not header
-                return bytes(mutated)
+                def mutate(name, payload, member=member):
+                    if name != member:
+                        return payload
+                    mutated = bytearray(payload)
+                    mutated[-1] ^= 0x01  # last byte: array data, not header
+                    return bytes(mutated)
 
-            rezip(store_path, corrupt, mutate)
-            if corrupt.read_bytes() == store_path.read_bytes():
-                continue  # zero-byte array; nothing to corrupt
-            flipped += 1
-            with pytest.raises(StoreIntegrityError, match=key):
-                load_run(corrupt, verify="full")
+                rezip(source, corrupt, mutate)
+                if corrupt.read_bytes() == source.read_bytes():
+                    continue  # zero-byte array; nothing to corrupt
+                flipped += 1
+                with pytest.raises(StoreIntegrityError, match=key):
+                    load_run(corrupt, verify="full")
+                with pytest.raises(StoreIntegrityError, match=key):
+                    load_run(corrupt, verify="full", sections=())
         assert flipped > 0
 
     def test_missing_array(self, store_path, tmp_path):
@@ -283,10 +343,11 @@ class TestIndexRanges:
     @pytest.mark.parametrize("case", OUT_OF_RANGE)
     @pytest.mark.parametrize("retain_containment", [True, False])
     def test_out_of_range_index_rejected(
-        self, store_path, tmp_path, case, retain_containment
+        self, request, tmp_path, case, retain_containment
     ):
         key, mutate = OUT_OF_RANGE[case]
-        bad = rewrite_array(store_path, tmp_path / "bad.npz", key, mutate)
+        source = store_holding(key, request)
+        bad = rewrite_array(source, tmp_path / "bad.npz", key, mutate)
         with pytest.raises(StoreFormatError, match=key) as excinfo:
             load_run(bad, verify="full", retain_containment=retain_containment)
         # The digests were recomputed: only the range check can catch it.
@@ -338,13 +399,22 @@ class TestReloadKeepsOldGeneration:
 
 
     @pytest.mark.parametrize(
-        "key", ["order__rows", "rules__all__union_rows"]
+        "key, mutate",
+        [
+            pytest.param(key, mutate, id=key)
+            for key, mutate in (
+                ("order__rows", set_first(10**5)),
+                ("rules__all__union_rows", set_first(10**5)),
+                ("rules__lux__antecedents", set_bit_63),
+            )
+        ],
     )
     def test_watcher_keeps_serving_after_out_of_range_replacement(
-        self, store_path, tmp_path, key
+        self, request, tmp_path, key, mutate
     ):
+        store_path = store_holding(key, request)
         app = ServeApp(store_path, watch=True)
-        bad = rewrite_array(store_path, tmp_path / "bad.npz", key, set_first(10**5))
+        bad = rewrite_array(store_path, tmp_path / "bad.npz", key, mutate)
         stat = store_path.stat()
         store_path.write_bytes(bad.read_bytes())
         os.utime(store_path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))

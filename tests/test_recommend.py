@@ -29,6 +29,9 @@ from repro.recommend import (
     recommend_reference,
 )
 
+from conftest import rule_arrays_cases
+from oracles import antecedent_index_reference, rank_permutation_reference
+
 FIG1_TRANSACTIONS = [
     ["a", "c", "d"],
     ["b", "c", "e"],
@@ -437,3 +440,21 @@ def test_property_topk_equals_bruteforce(case, workers):
     universe, rules, basket, k = case
     engine = Recommender(make_arrays(universe, rules), workers=workers)
     assert engine.query(basket, k) == recommend_reference(engine.arrays, basket, k)
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: the run-built index and the rank permutation == references
+# ----------------------------------------------------------------------
+@given(arrays=rule_arrays_cases())
+@settings(deadline=None, max_examples=120)
+def test_property_index_and_rank_equal_reference(arrays):
+    engine = Recommender(arrays, assume_canonical=True)
+    expected = antecedent_index_reference(arrays)
+    for name, array in expected._asdict().items():
+        built = getattr(engine.index, name)
+        assert built.dtype == array.dtype, name
+        assert np.array_equal(built, array), name
+    assert engine.index.max_antecedent_size == int(
+        expected.antecedent_sizes.max(initial=0)
+    )
+    assert np.array_equal(engine._row_of_rank, rank_permutation_reference(arrays))

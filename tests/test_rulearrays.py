@@ -20,22 +20,32 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis.metrics import summarize_rules
+from repro.core.bitmatrix import BitMatrix
 from repro.core.informative import GenericBasis, InformativeBasis
 from repro.core.itemset import Itemset
 from repro.core.lattice import IcebergLattice
 from repro.core.luxenburger import LuxenburgerBasis
-from repro.core.rulearrays import RuleArrays, mask_to_itemset, pack_itemsets_into
+from repro.core.rulearrays import (
+    RuleArrays,
+    _reversed_bit_rows,
+    mask_to_itemset,
+    pack_itemsets_into,
+)
 from repro.core.rules import AssociationRule, RuleSet
 from repro.data.synthetic import make_rule_dense_family
 from repro.errors import InvalidParameterError
 
+from conftest import rule_arrays_cases
 from oracles import (
+    canonical_order_reference,
     dg_rules_reference,
     generic_rules_reference,
     informative_rules_reference,
     luxenburger_rules_reference,
+    reversed_bit_rows_reference,
 )
 
 
@@ -204,6 +214,29 @@ class TestVectorisedOps:
         )
         assert any("empty" in problem for problem in empty_consequent.validate())
 
+    def test_validate_flags_out_of_contract_values(self):
+        universe = ("a", "b")
+        base = dict(
+            antecedents=pack_itemsets_into([Itemset("a")], universe),
+            consequents=pack_itemsets_into([Itemset("b")], universe),
+            universe=universe,
+            support=np.array([0.5]),
+            confidence=np.array([0.5]),
+            support_count=np.array([3]),
+        )
+        assert RuleArrays(**base).validate() == []
+        padded = base["antecedents"].words.copy()
+        padded[0, 0] |= np.uint64(1) << np.uint64(63)
+        cases = {
+            "antecedents": dict(antecedents=BitMatrix(padded, 2)),
+            "support": dict(support=np.array([np.nan])),
+            "confidence": dict(confidence=np.array([0.0])),
+            "support_count": dict(support_count=np.array([-2])),
+        }
+        for column, change in cases.items():
+            (problem,) = RuleArrays(**{**base, **change}).validate()
+            assert problem.startswith(f"{column}: row 0:")
+
     def test_mask_to_itemset(self):
         universe = ("a", "b", "c")
         matrix = pack_itemsets_into([Itemset("ac")], universe)
@@ -348,3 +381,17 @@ class TestBasisOracleEquivalence:
         ):
             assert not basis.rules.is_materialized()
             assert basis.rules.same_rules_and_statistics(RuleSet(reference))
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: the byte-table canonical sort == the unpacked reference
+# ----------------------------------------------------------------------
+@given(arrays=rule_arrays_cases())
+@settings(deadline=None, max_examples=120)
+def test_property_canonical_order_equals_reference(arrays):
+    for matrix in (arrays.antecedents, arrays.consequents):
+        reversed_rows = _reversed_bit_rows(matrix)
+        expected = reversed_bit_rows_reference(matrix)
+        assert reversed_rows.dtype == expected.dtype
+        assert np.array_equal(reversed_rows, expected)
+    assert np.array_equal(arrays.canonical_order(), canonical_order_reference(arrays))

@@ -166,9 +166,13 @@ class TestRoundTrip:
                 ):
                     assert data[key].dtype == np.int8, key
 
+    @pytest.mark.parametrize("verify", ["manifest", "full"])
     @pytest.mark.parametrize("sections", [None, ("rules",)])
-    def test_each_array_is_read_once(self, toy_store_path, monkeypatch, sections):
-        """The rule bases reuse the family rows read for the other sections."""
+    def test_each_array_is_read_once(
+        self, toy_store_path, monkeypatch, sections, verify
+    ):
+        """The rule bases reuse the family rows read for the other sections,
+        and full verification hashes each array from that one read."""
         reads = Counter()
         open_container = npz._open_container
 
@@ -192,9 +196,12 @@ class TestRoundTrip:
         monkeypatch.setattr(
             npz, "_open_container", lambda path: CountingContainer(open_container(path))
         )
-        run = store.load_run(toy_store_path, sections=sections)
+        run = store.load_run(toy_store_path, sections=sections, verify=verify)
         assert len(run.rule_arrays) == len(registered_names())
         assert "closed__words" in reads and set(reads.values()) == {1}
+        if verify == "full":
+            listed = store.read_manifest(toy_store_path)["integrity"]["arrays"]
+            assert set(reads) == {"manifest", *listed}
 
     def test_bare_rule_arrays_keep_columns(self, tmp_path, toy_artifacts):
         arrays = toy_artifacts["dg"].rule_arrays
