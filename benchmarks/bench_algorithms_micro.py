@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the individual miners and the closure engines.
+"""Micro-benchmarks of the individual miners and the closure engine.
 
 Unlike the table/figure benchmarks (run once because a full grid is
 expensive), these micro-benchmarks time a single mining task per
@@ -39,7 +39,7 @@ from repro.data.synthetic import (
     make_star_closed_family,
     rule_dense_expected_counts,
 )
-from repro.engine import make_engine
+from repro.engine import ClosureEngine
 from repro.experiments.harness import mine_itemsets
 from repro.recommend import Recommender
 
@@ -454,12 +454,11 @@ def test_closure_computation(benchmark, mushroom):
 # ----------------------------------------------------------------------
 # Engine microbenchmarks (gated by scripts/check_bench_regression.py)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine_name", ["numpy", "bitset"])
 @pytest.mark.parametrize("n_candidates", [1_000, 10_000])
-def test_engine_batch_closures(benchmark, mushroom, engine_name, n_candidates):
+def test_engine_batch_closures(benchmark, mushroom, n_candidates):
     """One batched closures_and_supports() call over a full candidate level."""
     candidates = make_candidates(mushroom, n_candidates)
-    engine = make_engine(mushroom, engine_name, cache_size=0)
+    engine = ClosureEngine(mushroom, cache_size=0)
     result = benchmark(lambda: engine.closures_and_supports(candidates))
     assert len(result) == n_candidates
 
@@ -467,12 +466,12 @@ def test_engine_batch_closures(benchmark, mushroom, engine_name, n_candidates):
 def test_engine_per_itemset_closure_loop(benchmark, mushroom):
     """The pre-batch baseline: one engine call per candidate, 1k candidates.
 
-    The ratio between this and ``test_engine_batch_closures[1000-numpy]``
+    The ratio between this and ``test_engine_batch_closures[1000]``
     is the batch speedup the engine subsystem exists for (>= 3x on this
     dense workload).
     """
     candidates = make_candidates(mushroom, 1_000)
-    engine = make_engine(mushroom, "numpy", cache_size=0)
+    engine = ClosureEngine(mushroom, cache_size=0)
     result = benchmark(
         lambda: [engine.closure_and_support(candidate) for candidate in candidates]
     )
@@ -515,11 +514,10 @@ def test_engine_levelwise_miners(benchmark, quest_sparse, algorithm_class):
     assert counters == LEVELWISE_COUNTERS[algorithm_class.__name__]
 
 
-@pytest.mark.parametrize("engine_name", ["numpy", "bitset"])
-def test_engine_batch_supports(benchmark, mushroom, engine_name):
+def test_engine_batch_supports(benchmark, mushroom):
     """Support-only batch counting of a 10k-candidate level."""
     candidates = make_candidates(mushroom, 10_000)
-    engine = make_engine(mushroom, engine_name, cache_size=0)
+    engine = ClosureEngine(mushroom, cache_size=0)
     result = benchmark(lambda: engine.supports(candidates))
     assert len(result) == 10_000
 
@@ -527,7 +525,7 @@ def test_engine_batch_supports(benchmark, mushroom, engine_name):
 def test_engine_closure_cache_hit_rate(benchmark, mushroom):
     """Repeated closure of a warm level: the LRU cache should answer."""
     candidates = make_candidates(mushroom, 1_000)
-    engine = make_engine(mushroom, "numpy")
+    engine = ClosureEngine(mushroom)
     engine.closures(candidates)  # warm the cache
     result = benchmark(lambda: engine.closures(candidates))
     assert len(result) == 1_000

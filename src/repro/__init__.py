@@ -9,8 +9,8 @@ The package is organised in five sub-packages:
   itemsets, the Duquenne-Guigues and Luxenburger bases, rule derivation;
 * :mod:`repro.data` — the transaction-database substrate, dataset I/O and
   the synthetic dataset generators used by the experiments;
-* :mod:`repro.engine` — the batch closure engines (vectorised numpy and
-  vertical bitset backends) every algorithm evaluates covers/closures on;
+* :mod:`repro.engine` — the batch closure engine (packed uint64 words)
+  every algorithm evaluates covers/closures on;
 * :mod:`repro.algorithms` — Apriori (baseline), Close, A-Close and CHARM;
 * :mod:`repro.analysis` — interestingness metrics and dataset statistics;
 * :mod:`repro.experiments` — the harness regenerating every table and
@@ -61,12 +61,7 @@ from .core.pseudo_closed import PseudoClosedItemset, frequent_pseudo_closed_item
 from .core.rules import AssociationRule, RuleSet
 from .data.context import TransactionDatabase
 from .data.io import load_basket_file, load_tabular_file, save_basket_file
-from .engine import (
-    BitsetClosureEngine,
-    ClosureEngine,
-    NumpyClosureEngine,
-    make_engine,
-)
+from .engine import ClosureEngine
 from .data.synthetic import QuestGenerator, make_quest_dataset
 from .errors import (
     DatasetFormatError,
@@ -110,11 +105,8 @@ __all__ = [
     "available_bases",
     "build_bases",
     "register_basis",
-    # engines
+    # engine
     "ClosureEngine",
-    "NumpyClosureEngine",
-    "BitsetClosureEngine",
-    "make_engine",
     # data
     "TransactionDatabase",
     "load_basket_file",

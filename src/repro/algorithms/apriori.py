@@ -13,8 +13,7 @@ The level loop runs on sorted arrays of item ranks through the
 candidate kernel of :mod:`repro.algorithms.levelwise`, which Close and
 A-Close share.  Each level is one batch of the context's closure engine,
 so support counting is a handful of vectorised reductions (packed cover
-ANDs and popcounts on the numpy engine, early exit tidset ANDs on the
-bitset engine) instead of a database re-scan per candidate; each
+ANDs and popcounts) instead of a database re-scan per candidate; each
 frequent itemset becomes an :class:`~repro.core.itemset.Itemset` once,
 at the end.  The number of logical database passes reported in the
 statistics still follows the classical level-wise accounting (one pass
@@ -86,16 +85,14 @@ class Apriori(MiningAlgorithm):
 
     name = "Apriori"
 
-    def __init__(
-        self, minsup: float, max_size: int | None = None, engine: str | None = None
-    ) -> None:
-        super().__init__(minsup, engine=engine)
+    def __init__(self, minsup: float, max_size: int | None = None) -> None:
+        super().__init__(minsup)
         self._max_size = max_size
 
     def _mine(
         self, database: TransactionDatabase, statistics: MiningStatistics
     ) -> ItemsetFamily:
-        engine = self._engine(database)
+        engine = database.engine()
         threshold = database.minsup_count(self._minsup)
         order = ItemOrder(database)
 

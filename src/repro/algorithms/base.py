@@ -90,42 +90,20 @@ class MiningAlgorithm(ABC):
     ----------
     minsup:
         Relative minimum support threshold in ``[0, 1]``.
-    engine:
-        Optional closure-engine override (``"numpy"`` or ``"bitset"``).
-        ``None`` picks the miner's :attr:`default_engine`, or — when that
-        is also ``None`` — the database's own default.
     """
 
     #: Human-readable algorithm name, overridden by subclasses.
     name: str = "abstract"
 
-    #: Engine a miner prefers when the caller does not choose one
-    #: (vertical miners override this with ``"bitset"``).
-    default_engine: str | None = None
-
-    def __init__(self, minsup: float, engine: str | None = None) -> None:
+    def __init__(self, minsup: float) -> None:
         if not 0.0 <= minsup <= 1.0:
             raise InvalidParameterError(f"minsup must lie in [0, 1], got {minsup}")
         self._minsup = minsup
-        from ..engine import resolve_engine_name
-
-        if engine is not None:
-            engine = resolve_engine_name(engine)
-        self._engine_name = engine
 
     @property
     def minsup(self) -> float:
         """Relative minimum support threshold."""
         return self._minsup
-
-    @property
-    def engine_name(self) -> str | None:
-        """Explicit engine override, or ``None`` for the default chain."""
-        return self._engine_name
-
-    def _engine(self, database: TransactionDatabase):
-        """Resolve the closure engine this run uses on *database*."""
-        return database.engine(self._engine_name or self.default_engine)
 
     def run(self, database: TransactionDatabase) -> MiningRun:
         """Execute the algorithm on *database* and return a run record."""

@@ -11,10 +11,10 @@ support)`` families on every dataset.
 
 Tidsets are represented as arbitrary-precision integer bitsets (one bit
 per object), so intersection is a single ``&`` and support a single
-popcount.  The bitset views themselves belong to the context's
-``"bitset"`` closure engine (:class:`repro.engine.BitsetClosureEngine`) —
-CHARM is an ordinary client of that vertical engine, not a special case
-inside the database.
+``int.bit_count``.  They are the search state of the algorithm, not a
+closure engine: the root tidsets come from
+:meth:`TransactionDatabase.vertical_bits`, packed from the context's
+matrix, and every deeper tidset is an intersection of two others.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from __future__ import annotations
 from ..core.families import ClosedItemsetFamily
 from ..core.itemset import Itemset
 from ..data.context import TransactionDatabase
-from ..engine.bitops import popcount
-from ..errors import InvalidParameterError
 from .base import MiningAlgorithm, MiningStatistics
 
 __all__ = ["Charm"]
@@ -56,34 +54,22 @@ class Charm(MiningAlgorithm):
 
     name = "CHARM"
 
-    #: CHARM's search state *is* the vertical tidset view.
-    default_engine = "bitset"
-
-    def __init__(self, minsup: float, engine: str | None = None) -> None:
-        super().__init__(minsup, engine=engine)
-        if self._engine_name not in (None, "bitset"):
-            raise InvalidParameterError(
-                f"CHARM is a vertical algorithm and requires the 'bitset' "
-                f"engine, got {self._engine_name!r}"
-            )
-
     def _mine(
         self, database: TransactionDatabase, statistics: MiningStatistics
     ) -> ClosedItemsetFamily:
-        engine = self._engine(database)
         threshold = database.minsup_count(self._minsup)
         statistics.database_passes += 1
 
-        item_bits = engine.item_bits()
+        item_bits = database.vertical_bits()
         roots = [
             _Node(Itemset.of(item), bits)
             for item, bits in item_bits.items()
-            if popcount(bits) >= threshold
+            if bits.bit_count() >= threshold
         ]
         statistics.candidates_generated += len(item_bits)
         # Processing items by increasing support maximises the chance of the
         # tidset-equality/containment shortcuts firing early (Zaki's heuristic).
-        roots.sort(key=lambda node: (popcount(node.tidset), node.itemset))
+        roots.sort(key=lambda node: (node.tidset.bit_count(), node.itemset))
 
         # closed sets found so far, keyed by tidset-hash buckets for the
         # subsumption check (an itemset is not closed if a known closed set
@@ -92,7 +78,7 @@ class Charm(MiningAlgorithm):
         statistics.levels = 1
 
         def is_subsumed(itemset: Itemset, tidset: int) -> bool:
-            support = popcount(tidset)
+            support = tidset.bit_count()
             for other, other_tids in closed_by_support.get(support, ()):
                 if other_tids == tidset and itemset.is_proper_subset(other):
                     return True
@@ -101,7 +87,7 @@ class Charm(MiningAlgorithm):
         def record(itemset: Itemset, tidset: int) -> None:
             if is_subsumed(itemset, tidset):
                 return
-            support = popcount(tidset)
+            support = tidset.bit_count()
             bucket = closed_by_support.setdefault(support, [])
             # Remove previously recorded sets subsumed by the new one: they
             # were provisional closures along other branches.
@@ -125,7 +111,7 @@ class Charm(MiningAlgorithm):
                         continue
                     statistics.candidates_generated += 1
                     tids = node_i.tidset & node_j.tidset
-                    if popcount(tids) < threshold:
+                    if tids.bit_count() < threshold:
                         continue
                     union = node_i.itemset.union(node_j.itemset)
                     if node_i.tidset == node_j.tidset:
@@ -148,7 +134,7 @@ class Charm(MiningAlgorithm):
                         children.append(_Node(union, tids))
                 if children:
                     children.sort(
-                        key=lambda node: (popcount(node.tidset), node.itemset)
+                        key=lambda node: (node.tidset.bit_count(), node.itemset)
                     )
                     extend(children, depth + 1)
                 record(node_i.itemset, node_i.tidset)
@@ -158,7 +144,7 @@ class Charm(MiningAlgorithm):
         supports: dict[Itemset, int] = {}
         for bucket in closed_by_support.values():
             for itemset, tidset in bucket:
-                supports[itemset] = popcount(tidset)
+                supports[itemset] = tidset.bit_count()
         return ClosedItemsetFamily(
             supports, n_objects=database.n_objects, minsup_count=threshold
         )

@@ -76,14 +76,14 @@ class Close(MiningAlgorithm):
 
     name = "Close"
 
-    def __init__(self, minsup: float, engine: str | None = None) -> None:
-        super().__init__(minsup, engine=engine)
+    def __init__(self, minsup: float) -> None:
+        super().__init__(minsup)
         self.generators_by_closure: dict[Itemset, list[Itemset]] = {}
 
     def _mine(
         self, database: TransactionDatabase, statistics: MiningStatistics
     ) -> ClosedItemsetFamily:
-        engine = self._engine(database)
+        engine = database.engine()
         threshold = database.minsup_count(self._minsup)
         order = ItemOrder(database)
         records = ClosureRecords(database.n_objects)

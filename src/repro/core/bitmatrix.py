@@ -24,7 +24,7 @@ ever unpacked:
 little-endian bit order within each row (bit ``j`` of a row lives in
 word ``j >> 6`` at position ``j & 63``, matching the layout
 ``np.packbits(..., bitorder="little")`` produces and
-:func:`repro.core.order.pack_itemset_masks` already uses), popcount row
+:func:`repro.core.rulearrays.pack_itemsets_into` already uses), popcount row
 statistics via ``np.bitwise_count``, and packed AND / OR / ANDN row ops.
 Bits at column positions ``>= n_cols`` (the tail of the last word) are
 kept zero as a class invariant so popcounts and reductions never see

@@ -11,7 +11,7 @@ Section 2 of the paper defines, for a mining context ``D = (O, I, R)``:
 :class:`~repro.data.context.TransactionDatabase` and adds the classical
 derived notions: formal concepts, closed itemsets and the closure system.
 The heavy lifting (cover computation, intersection of transactions) is
-delegated to the closure engines of :mod:`repro.engine` through the
+delegated to the closure engine of :mod:`repro.engine` through the
 database, including batch variants that close or count many itemsets in
 one vectorised pass.
 """

@@ -277,7 +277,7 @@ class ClosedItemsetFamily(ItemsetFamily):
     member.
     """
 
-    #: Lazily built packed-containment index (see :meth:`_closure_lookup`).
+    #: Lazily built closure-lookup index (see :meth:`_closure_lookup`).
     _closure_index: tuple | None = None
 
     #: Guards the lazy index build: the threaded serve daemon and the
@@ -287,31 +287,23 @@ class ClosedItemsetFamily(ItemsetFamily):
     _closure_index_lock = threading.Lock()
 
     def _closure_lookup(self) -> tuple:
-        """Size-bucketed packed-containment index over the members.
+        """``(sizes, item_position)`` over the :meth:`packed` rows.
 
-        Built once on first use (families are immutable after
-        construction): the members stable-sorted by cardinality, their
-        packed item-mask rows, and the aligned size / support columns.
-        A :meth:`closure_of` query then tests one size bucket at a time
-        with a vectorised masked compare instead of scanning the whole
-        family per lookup.  Thread-safe: concurrent first lookups build
-        the index under :data:`_closure_index_lock`.
+        The packed members are in canonical order, which is size-major, so
+        each cardinality is one contiguous run of rows; ``sizes`` is their
+        row popcounts and ``item_position`` maps each universe item to its
+        bit.  Built once on first use (families are immutable after
+        construction), under :data:`_closure_index_lock`, so a
+        :meth:`closure_of` query only packs its target.
         """
         if self._closure_index is None:
+            packed = self.packed()
             with self._closure_index_lock:
-                if self._closure_index is not None:
-                    return self._closure_index
-                from .rulearrays import pack_itemsets_into, sorted_universe
-
-                members = sorted(self._supports, key=len)  # stable order kept
-                universe = sorted_universe(item for member in members for item in member)
-                item_position = {item: pos for pos, item in enumerate(universe)}
-                matrix = pack_itemsets_into(members, universe)
-                sizes = np.array([len(member) for member in members], dtype=np.int64)
-                counts = np.array(
-                    [self._supports[member] for member in members], dtype=np.int64
-                )
-                self._closure_index = (members, matrix, sizes, counts, item_position)
+                if self._closure_index is None:
+                    self._closure_index = (
+                        packed.matrix.row_counts(),
+                        {item: bit for bit, item in enumerate(packed.universe)},
+                    )
         return self._closure_index
 
     def closure_of(self, itemset: Itemset | Iterable[Item]) -> Itemset | None:
@@ -321,34 +313,33 @@ class ClosedItemsetFamily(ItemsetFamily):
         is not frequent at the family's threshold).  When several members
         contain *itemset*, the smallest one is unique because closed sets
         are stable under intersection; we nevertheless resolve ties by
-        minimal support to stay robust if the family was built with a
-        non-closed member injected by hand.
+        minimal support, then canonical order, to stay robust if the
+        family was built with a non-closed member injected by hand.
 
-        Lookups go through the size-bucketed packed index: buckets of
-        cardinality below the target are never touched, and the first
-        bucket with a containing member answers (minimal support wins
-        inside the bucket, earliest-inserted member on support ties —
-        exactly the strictly-better-replaces semantics of the original
-        linear scan).
+        Lookups test the packed rows one size bucket at a time with a
+        vectorised masked compare: buckets of cardinality below the target
+        are never touched, and the first bucket with a containing member
+        answers.
         """
         target = Itemset.coerce(itemset)
         if not self._supports:
             return None
-        members, matrix, sizes, counts, item_position = self._closure_lookup()
+        packed = self.packed()
+        sizes, item_position = self._closure_lookup()
         if any(item not in item_position for item in target):
             return None  # some item appears in no member at all
         from .rulearrays import pack_itemset_words
 
-        words = pack_itemset_words(target, item_position, matrix.n_words)
+        words = pack_itemset_words(target, item_position, packed.matrix.n_words)
         start = int(np.searchsorted(sizes, len(target), side="left"))
-        n = len(members)
+        n = len(sizes)
         while start < n:
             stop = int(np.searchsorted(sizes, sizes[start], side="right"))
-            block = matrix.words[start:stop]
+            block = packed.matrix.words[start:stop]
             hits = np.nonzero(np.all((block & words) == words, axis=1))[0]
             if hits.size:
-                best = hits[np.argmin(counts[start:stop][hits])]
-                return members[start + int(best)]
+                best = hits[np.argmin(packed.counts[start:stop][hits])]
+                return packed.members[start + int(best)]
             start = stop
         return None
 

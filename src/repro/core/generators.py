@@ -17,8 +17,8 @@ Minimal generators matter for two reasons in this reproduction:
   of the same research group, which we include as an extension.
 
 This module defines :class:`GeneratorFamily`, the mapping from each
-frequent closed itemset to its minimal generators, plus verification
-helpers used in tests.
+frequent closed itemset to its minimal generators, and the defining
+test :func:`is_minimal_generator`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "GeneratorFamily",
     "PackedGenerators",
     "is_minimal_generator",
-    "minimal_generators_brute_force",
 ]
 
 
@@ -72,29 +71,6 @@ def is_minimal_generator(database: TransactionDatabase, itemset: Itemset) -> boo
         if database.support_count(subset) == count:
             return False
     return True
-
-
-def minimal_generators_brute_force(
-    database: TransactionDatabase, closed: Itemset
-) -> list[Itemset]:
-    """Enumerate the minimal generators of one closed itemset by brute force.
-
-    Intended for tests and tiny examples only: it inspects every subset of
-    *closed*, keeps those whose closure is *closed*, and retains the
-    minimal ones with respect to set inclusion.
-    """
-    closed = Itemset.coerce(closed)
-    with_same_closure = [
-        subset
-        for size in range(len(closed) + 1)
-        for subset in closed.subsets_of_size(size)
-        if database.closure(subset) == closed
-    ]
-    minimal: list[Itemset] = []
-    for candidate in sorted(with_same_closure, key=len):
-        if not any(existing.issubset(candidate) for existing in minimal):
-            minimal.append(candidate)
-    return sorted(minimal)
 
 
 class GeneratorFamily:
@@ -206,23 +182,3 @@ class GeneratorFamily:
         """
         closed = Itemset.coerce(closed)
         return tuple(g for g in self.generators_of(closed) if g != closed)
-
-    def verify_against(self, database: TransactionDatabase) -> list[str]:
-        """Return a list of human-readable violations (empty when consistent).
-
-        Checks, for every recorded pair, that the generator's closure in
-        *database* is its key and that the generator satisfies the minimal
-        generator property.  Used by integration tests and by the ablation
-        benchmark that cross-checks the miners.
-        """
-        problems: list[str] = []
-        for closed, generators in self._mapping.items():
-            for generator in generators:
-                closure = database.closure(generator)
-                if closure != closed:
-                    problems.append(
-                        f"closure of {generator} is {closure}, recorded under {closed}"
-                    )
-                if len(generator) > 0 and not is_minimal_generator(database, generator):
-                    problems.append(f"{generator} is not a minimal generator")
-        return problems

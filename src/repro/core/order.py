@@ -1,11 +1,11 @@
 """The containment order core over a family of itemsets.
 
 This module is the numeric core of the iceberg-lattice construction: given
-a family of itemsets it packs each member into a row of uint64 item-masks
-(the same little-endian ``np.packbits`` layout as the integer bitsets of
-:mod:`repro.engine.bitops`), computes the full strict-containment relation
-as a bit-packed :class:`~repro.core.bitmatrix.BitMatrix` and derives the
-Hasse diagram by its transitive reduction.
+a family of itemsets as rows of uint64 item-masks (the little-endian
+``np.packbits`` layout of :meth:`~repro.core.families.ItemsetFamily.packed`),
+it computes the full strict-containment relation as a bit-packed
+:class:`~repro.core.bitmatrix.BitMatrix` and derives the Hasse diagram by
+its transitive reduction.
 
 The containment relation of a family of *distinct* sets is a strict
 partial order and hence already transitively closed, so the Hasse edges
@@ -19,44 +19,13 @@ itemset semantics (members, supports, accessors) on top.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from ..errors import InvalidParameterError
 from .bitmatrix import BitMatrix, packed_containment, packed_hasse_reduction
-from .itemset import Itemset, _sort_key
 from .parallel import get_executor
 
-__all__ = ["pack_itemset_masks", "OrderCore"]
-
-
-def pack_itemset_masks(
-    itemsets: Sequence[Itemset],
-) -> tuple[np.ndarray, list[object]]:
-    """Pack *itemsets* into a ``(n, n_words)`` uint64 item-mask matrix.
-
-    Returns the packed matrix and the item universe in the canonical order
-    used for bit positions: bit ``i`` of a row (little-endian across the
-    uint64 words) is set iff the member contains ``universe[i]``.
-    """
-    universe_set = {item for member in itemsets for item in member}
-    try:
-        universe = sorted(universe_set)
-    except TypeError:
-        universe = sorted(universe_set, key=_sort_key)
-    index = {item: position for position, item in enumerate(universe)}
-
-    n = len(itemsets)
-    presence = np.zeros((n, len(universe)), dtype=bool)
-    for row, member in enumerate(itemsets):
-        for item in member:
-            presence[row, index[item]] = True
-    packed = np.packbits(presence, axis=1, bitorder="little")
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return np.ascontiguousarray(packed).view(np.uint64), universe
+__all__ = ["OrderCore"]
 
 
 class OrderCore:

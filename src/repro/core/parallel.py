@@ -2,7 +2,7 @@
 
 Every hot loop of the library — the blocked subset pass of
 :func:`~repro.core.bitmatrix.packed_containment`, the gather/OR-reduce
-transitive reduction, the batch-closure AND-reduce of the numpy engine,
+transitive reduction, the batch-closure AND-reduce of the closure engine,
 the streamed CSR rule emitters — is a sequence of *independent* block
 computations over numpy arrays.  The inner ``np.bitwise_count`` /
 ``np.packbits`` / ufunc-reduce calls release the GIL, so plain threads already

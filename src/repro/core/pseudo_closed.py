@@ -22,9 +22,8 @@ itemset/closure masks of the sets found so far, batched one cardinality
 level at a time: only strictly smaller pseudo-closed sets can influence
 a candidate, so within a level the comparison prefix is fixed and the
 whole level is tested in a handful of word-wise compares (blocked so
-the bool temporaries stay bounded).  The pre-vectorisation code is kept
-as :func:`frequent_pseudo_closed_itemsets_reference`, the oracle of the
-equivalence tests.
+the bool temporaries stay bounded).  The pre-vectorisation per-pair loop
+is the oracle of the equivalence tests, in ``tests/oracles.py``.
 
 The empty itemset needs explicit care: it is always frequent (support
 ``|O|``) and it is pseudo-closed exactly when it is not closed, i.e. when
@@ -42,11 +41,7 @@ from ..errors import InvalidParameterError
 from .families import ClosedItemsetFamily, ItemsetFamily
 from .itemset import Itemset
 
-__all__ = [
-    "PseudoClosedItemset",
-    "frequent_pseudo_closed_itemsets",
-    "frequent_pseudo_closed_itemsets_reference",
-]
+__all__ = ["PseudoClosedItemset", "frequent_pseudo_closed_itemsets"]
 
 
 @dataclass(frozen=True, order=True)
@@ -262,56 +257,5 @@ def frequent_pseudo_closed_itemsets(
                 candidate_matrix.words[position],
             )
         start = stop
-
-    return sorted(found, key=lambda p: p.itemset)
-
-
-def frequent_pseudo_closed_itemsets_reference(
-    frequent: ItemsetFamily,
-    closed: ClosedItemsetFamily,
-) -> list[PseudoClosedItemset]:
-    """The pre-vectorisation per-pair computation, kept as the test oracle.
-
-    Same contract as :func:`frequent_pseudo_closed_itemsets`; the inner
-    condition is the original ``O(|frequent| · |found|)`` Python loop.
-    """
-    _check_same_database(frequent, closed)
-
-    found: list[PseudoClosedItemset] = []
-    bottom = closed.bottom_closure()
-
-    def consider(candidate: Itemset, support_count: int) -> None:
-        if candidate in closed:
-            return  # closed, hence not pseudo-closed
-        for previous in found:
-            if previous.itemset.is_proper_subset(candidate) and not (
-                previous.closure.issubset(candidate)
-            ):
-                return
-        if not candidate:
-            # The closure of the empty itemset is the set of items common to
-            # every object; ``closure_of`` cannot be used here because the
-            # miners never list h(∅) as a family member when it is empty.
-            closure = bottom
-        else:
-            closure = closed.closure_of(candidate)
-        if closure is None:
-            return
-        if closure == candidate:
-            return
-        found.append(
-            PseudoClosedItemset(
-                itemset=candidate, closure=closure, support_count=support_count
-            )
-        )
-
-    empty = Itemset.empty()
-    if bottom:
-        consider(empty, frequent.n_objects)
-
-    for candidate in frequent.itemsets():
-        if not candidate:
-            continue  # already handled explicitly
-        consider(candidate, frequent.support_count(candidate))
 
     return sorted(found, key=lambda p: p.itemset)

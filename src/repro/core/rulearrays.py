@@ -100,11 +100,6 @@ def sorted_universe(items: Iterable[Item]) -> tuple[Item, ...]:
         return tuple(sorted(distinct, key=_sort_key))
 
 
-#: Backward-compatible alias (the helper predates its promotion to the
-#: public packing API).
-_sorted_universe = sorted_universe
-
-
 def pack_itemset_words(
     itemset: Iterable[Item],
     item_position: dict,
@@ -385,9 +380,7 @@ class RuleArrays:
         """
         rules = list(rules)
         if universe is None:
-            universe = _sorted_universe(
-                item for rule in rules for item in rule.itemset
-            )
+            universe = sorted_universe(item for rule in rules for item in rule.itemset)
         antecedents = pack_itemsets_into([rule.antecedent for rule in rules], universe)
         consequents = pack_itemsets_into([rule.consequent for rule in rules], universe)
         support = np.array([rule.support for rule in rules], dtype=np.float64)
@@ -795,7 +788,7 @@ class RuleArrays:
     def _aligned_pair(self, other: "RuleArrays") -> tuple["RuleArrays", "RuleArrays"]:
         if self.same_universe(other):
             return self, other
-        merged = _sorted_universe(self.universe + other.universe)
+        merged = sorted_universe(self.universe + other.universe)
         return self.project_to(merged), other.project_to(merged)
 
     def concat(self, other: "RuleArrays") -> "RuleArrays":

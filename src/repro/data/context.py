@@ -19,14 +19,14 @@ The closure operator ``h = f ∘ g`` of the paper is exposed as
 Implementation
 --------------
 The relation is stored as a dense boolean numpy matrix (objects × items);
-the derived views and all closure/support evaluation live in the engines
-of :mod:`repro.engine`.  ``TransactionDatabase.engine(name)`` returns the
-lazily built engine of this context (``"numpy"`` — vectorised dense
-batches, the default — or ``"bitset"`` — per-item integer tidsets, the
-representation CHARM and Apriori consume).  The single-itemset methods
+the packed views and all closure/support evaluation live in the closure
+engine of :mod:`repro.engine`.  ``TransactionDatabase.engine()`` returns
+the lazily built engine of this context.  The single-itemset methods
 below (:meth:`cover`, :meth:`closure`, :meth:`support_count`, …) are thin
-wrappers over the default engine so existing callers keep working while
-level-wise miners hand whole candidate batches to the engine directly.
+wrappers over it, while the level-wise miners hand whole candidate
+levels to the engine directly.  The vertical view CHARM searches — one
+integer tidset per item, one bit per object — is packed from the matrix
+by :meth:`vertical_bits`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..core.itemset import Item, Itemset
-from ..engine.bitops import iter_bits
 from ..errors import EmptyDatabaseError, InvalidItemsetError, InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,9 +65,6 @@ class TransactionDatabase:
         Optional identifiers for the objects.  Defaults to ``0..n-1``.
     name:
         Optional human-readable dataset name used by reports.
-    engine:
-        Name of the default closure engine (``"numpy"`` or ``"bitset"``)
-        used by the single-itemset wrappers; see :mod:`repro.engine`.
 
     Examples
     --------
@@ -89,7 +85,6 @@ class TransactionDatabase:
         item_order: Sequence[Item] | None = None,
         object_ids: Sequence[Any] | None = None,
         name: str | None = None,
-        engine: str | None = None,
     ) -> None:
         rows: list[frozenset] = [frozenset(t) for t in transactions]
         self._name = name or "unnamed"
@@ -134,11 +129,9 @@ class TransactionDatabase:
 
         self._row_itemsets: tuple[Itemset, ...] = tuple(Itemset(row) for row in rows)
 
-        # Engines (and their bitset/float views) are built lazily on first use.
-        from ..engine import resolve_engine_name
-
-        self._default_engine: str = resolve_engine_name(engine)
-        self._engines: dict[str, "ClosureEngine"] = {}
+        # The engine and the vertical tidsets are built lazily on first use.
+        self._engine: "ClosureEngine | None" = None
+        self._tidsets: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------
     # Incremental extension
@@ -155,8 +148,8 @@ class TransactionDatabase:
         old items keep their column positions (items new to the universe
         are appended after them in canonical sorted order) and the old
         objects keep their row positions, so every packed per-item cover
-        of the old context is a bit-prefix of the extended one.  Engines
-        already instantiated on this context are carried over through
+        of the old context is a bit-prefix of the extended one.  An engine
+        already instantiated on this context is carried over through
         :meth:`~repro.engine.ClosureEngine.extended`, which splices the
         appended rows into the warm packed views instead of rebuilding
         them.  This context itself is never mutated.
@@ -220,11 +213,8 @@ class TransactionDatabase:
         clone._row_itemsets = self._row_itemsets + tuple(
             Itemset(row) for row in rows
         )
-        clone._default_engine = self._default_engine
-        clone._engines = {
-            backend: engine.extended(clone)
-            for backend, engine in self._engines.items()
-        }
+        clone._engine = None if self._engine is None else self._engine.extended(clone)
+        clone._tidsets = None
         return clone
 
     # ------------------------------------------------------------------
@@ -313,46 +303,26 @@ class TransactionDatabase:
     def matrix(self) -> np.ndarray:
         """The dense boolean object × item matrix (read-only view).
 
-        The array is write-locked; engines build their derived views from
+        The array is write-locked; the engine builds its packed views from
         it without copying.  Use :meth:`to_binary_matrix` for a mutable
         copy.
         """
         return self._matrix
 
     # ------------------------------------------------------------------
-    # Closure engines
+    # Closure engine
     # ------------------------------------------------------------------
-    @property
-    def default_engine_name(self) -> str:
-        """Name of the engine the single-itemset wrappers route through."""
-        return self._default_engine
+    def engine(self) -> "ClosureEngine":
+        """Return the (lazily built, cached) closure engine of this context.
 
-    def engine(self, name: str | None = None) -> "ClosureEngine":
-        """Return the (lazily built, cached) closure engine *name*.
-
-        ``None`` selects this database's default engine.  One engine — and
-        therefore one closure cache and one set of derived views — is kept
-        per backend per database, so repeated calls are cheap.
+        One engine — and therefore one closure cache and one set of packed
+        views — is kept per database, so repeated calls are cheap.
         """
-        from ..engine import make_engine, resolve_engine_name
+        if self._engine is None:
+            from ..engine import ClosureEngine
 
-        resolved = resolve_engine_name(name or self._default_engine)
-        engine = self._engines.get(resolved)
-        if engine is None:
-            engine = make_engine(self, resolved)
-            self._engines[resolved] = engine
-        return engine
-
-    def clear_engine_caches(self) -> None:
-        """Drop the closure caches of every instantiated engine.
-
-        The derived views (packed covers, bitsets) are kept — they are a
-        function of the immutable relation — but cached closures are
-        forgotten.  Timing harnesses call this between runs so that no
-        algorithm is measured against a cache warmed by a previous one.
-        """
-        for engine in self._engines.values():
-            engine.cache_clear()
+            self._engine = ClosureEngine(self)
+        return self._engine
 
     def __len__(self) -> int:
         return self.n_objects
@@ -415,8 +385,8 @@ class TransactionDatabase:
     def item_columns(self, items: Itemset | Iterable[Item]) -> list[int]:
         """Map *items* to matrix column indices, validating membership.
 
-        The single home of the item-membership check; the engines route
-        their candidate encoding through it.
+        The single home of the item-membership check; the engine routes
+        its candidate encoding through it.
         """
         itemset = Itemset.coerce(items)
         cols = []
@@ -433,10 +403,14 @@ class TransactionDatabase:
         """Return the cover of *items* as an integer bitset over objects.
 
         Bit ``t`` is set iff object ``t`` contains every item of *items*.
-        The cover of the empty itemset is the whole object set.  Delegates
-        to the bitset engine, which owns the per-item tidsets.
+        The cover of the empty itemset is the whole object set.  ANDs the
+        item tidsets of :meth:`vertical_bits`.
         """
-        return self.engine("bitset").cover_bits(items)
+        tidsets = self._item_tidsets()
+        cover = (1 << self.n_objects) - 1
+        for column in self.item_columns(items):
+            cover &= tidsets[column]
+        return cover
 
     def cover_mask(self, items: Itemset | Iterable[Item]) -> np.ndarray:
         """Return the cover of *items* as a boolean mask over object rows.
@@ -549,13 +523,27 @@ class TransactionDatabase:
     def vertical(self) -> dict:
         """Return the vertical representation: ``item -> frozenset of tids``."""
         return {
-            item: frozenset(iter_bits(bits))
-            for item, bits in self.vertical_bits().items()
+            item: frozenset(np.flatnonzero(self._matrix[:, c]).tolist())
+            for c, item in enumerate(self._items)
         }
 
     def vertical_bits(self) -> dict:
-        """Return the vertical representation as ``item -> integer bitset``."""
-        return self.engine("bitset").item_bits()
+        """Return the vertical representation as ``item -> integer bitset``.
+
+        Bit ``t`` of an item's tidset is set iff object ``t`` holds the
+        item.  This is the search state of CHARM (intersection is one
+        ``&``, support one ``int.bit_count``).
+        """
+        return dict(zip(self._items, self._item_tidsets()))
+
+    def _item_tidsets(self) -> tuple[int, ...]:
+        """Each matrix column as an integer bitset, packed once on first use."""
+        if self._tidsets is None:
+            packed = np.packbits(self._matrix.T, axis=1, bitorder="little")
+            self._tidsets = tuple(
+                int.from_bytes(row.tobytes(), "little") for row in packed
+            )
+        return self._tidsets
 
     def to_binary_matrix(self) -> np.ndarray:
         """Return a copy of the dense boolean object × item matrix."""
@@ -578,7 +566,6 @@ class TransactionDatabase:
             item_order=order,
             object_ids=self._object_ids,
             name=self._name,
-            engine=self._default_engine,
         )
 
     def restrict_to_frequent_items(self, minsup: float) -> "TransactionDatabase":

@@ -43,7 +43,6 @@ from collections.abc import Sequence
 from ..algorithms.close import Close
 from ..bases import DEFAULT_BASES, available_bases, get_basis, resolve_basis_names
 from ..data.io import load_basket_file
-from ..engine import ENGINES
 from ..errors import InvalidParameterError, ReproError
 from . import tables
 from .config import all_specs, smoke_specs
@@ -138,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--limit", type=int, default=50, help="print at most this many itemsets"
     )
-    mine.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default=None,
-        help="closure engine backend (default: per-miner default)",
-    )
 
     bases = _add_command(
         subparsers,
@@ -177,12 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bases.add_argument(
         "--limit", type=int, default=30, help="print at most this many rules per basis"
-    )
-    bases.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default=None,
-        help="closure engine backend (default: per-miner default)",
     )
     bases.add_argument(
         "--bases",
@@ -234,12 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     save.add_argument("--out", required=True, help="path of the .npz store to write")
     save.add_argument("--minsup", type=float, default=0.1, help="relative minsup")
     save.add_argument("--minconf", type=float, default=0.7, help="relative minconf")
-    save.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default=None,
-        help="closure engine backend (default: per-miner default)",
-    )
     save.add_argument(
         "--bases",
         default=None,
@@ -308,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="off",
         help="oracle re-mines the extended context and asserts the repaired "
         "artifacts match it exactly (slow; default: off)",
-    )
-    update.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default=None,
-        help="closure engine backend (default: per-miner default)",
     )
     update.add_argument(
         "--workers",
@@ -508,7 +483,7 @@ def _command_stats(args: argparse.Namespace) -> int:
 
 def _command_mine(args: argparse.Namespace) -> int:
     database = load_basket_file(args.dataset)
-    run = Close(args.minsup, engine=args.engine).run(database)
+    run = Close(args.minsup).run(database)
     print(
         f"{database.name}: {database.n_objects} objects, {database.n_items} items; "
         f"{len(run.family)} frequent closed itemsets at minsup={args.minsup}"
@@ -528,11 +503,6 @@ def _command_bases(args: argparse.Namespace) -> int:
         )
     selection = resolve_basis_names(args.bases)
     if args.from_store is not None:
-        if args.engine is not None:
-            raise InvalidParameterError(
-                "--engine has no effect with --from-store (nothing is mined); "
-                "drop it or mine with --dataset"
-            )
         from .. import store
 
         stored = store.load_run(
@@ -551,7 +521,7 @@ def _command_bases(args: argparse.Namespace) -> int:
         n_closed = len(stored.require("closed"))
     else:
         database = load_basket_file(args.dataset)
-        mining = mine_itemsets(database, args.minsup, engine=args.engine)
+        mining = mine_itemsets(database, args.minsup)
         artifacts = build_rule_artifacts(
             mining,
             minconf=args.minconf if args.minconf is not None else 0.7,
@@ -613,7 +583,7 @@ def _command_bases(args: argparse.Namespace) -> int:
 
 def _command_save(args: argparse.Namespace) -> int:
     database = load_basket_file(args.dataset)
-    mining = mine_itemsets(database, args.minsup, engine=args.engine)
+    mining = mine_itemsets(database, args.minsup)
     selection = resolve_basis_names(args.bases)
     artifacts = build_rule_artifacts(mining, minconf=args.minconf, bases=selection)
     path = save_artifacts(
@@ -674,7 +644,6 @@ def _command_update(args: argparse.Namespace) -> int:
         window=args.window,
         damage_threshold=args.damage_threshold,
         verify=args.verify,
-        engine=args.engine,
         workers=args.workers,
     )
     stats = result.statistics

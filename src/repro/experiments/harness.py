@@ -223,7 +223,6 @@ def mine_itemsets(
     database: TransactionDatabase,
     minsup: float,
     apriori_max_size: int | None = None,
-    engine: str | None = None,
 ) -> ItemsetMiningResult:
     """Mine all frequent itemsets (Apriori) and the closed ones (Close).
 
@@ -231,13 +230,9 @@ def mine_itemsets(
     Apriori; the rule experiments never set it (the full frequent family is
     needed), but the runtime figures may when a dense dataset at a very low
     threshold would otherwise dominate the whole benchmark session.
-    ``engine`` selects the closure engine both miners run on (``"numpy"``
-    or ``"bitset"``; ``None`` keeps each miner's default).
     """
-    apriori_run = Apriori(minsup, max_size=apriori_max_size, engine=engine).run(
-        database
-    )
-    close = Close(minsup, engine=engine)
+    apriori_run = Apriori(minsup, max_size=apriori_max_size).run(database)
+    close = Close(minsup)
     close_run = close.run(database)
     return ItemsetMiningResult(
         database=database,
@@ -379,47 +374,28 @@ def build_rule_artifacts_from_store(
     )
 
 
-def default_algorithms(
-    minsup: float, engine: str | None = None
-) -> list[MiningAlgorithm]:
+def default_algorithms(minsup: float) -> list[MiningAlgorithm]:
     """The algorithm line-up of the execution-time figures."""
-    return [
-        Apriori(minsup, engine=engine),
-        Close(minsup, engine=engine),
-        AClose(minsup, engine=engine),
-        # CHARM is inherently vertical; it always runs on the bitset engine.
-        Charm(minsup),
-    ]
+    return [Apriori(minsup), Close(minsup), AClose(minsup), Charm(minsup)]
 
 
 def time_algorithms(
     database: TransactionDatabase,
     minsups: tuple[float, ...] | list[float],
     algorithm_factories: list[type[MiningAlgorithm]] | None = None,
-    engine: str | None = None,
 ) -> list[dict[str, object]]:
     """Run each algorithm over a support sweep and collect timing rows.
 
     Returns one row per ``(algorithm, minsup)`` pair with the wall-clock
     time, the number of itemsets found and the candidate / database-pass
     counters — the quantities plotted by the original execution-time
-    figures.  ``engine`` forces one closure engine for every miner except
-    CHARM, which is vertical by construction.
-
-    Every timed run starts from cold closure caches (the engines' derived
-    views are kept — they are part of the data structure, not of a run),
-    so no algorithm is measured against a cache warmed by a previous one.
+    figures.
     """
     factories = algorithm_factories or [Apriori, Close, AClose, Charm]
     rows: list[dict[str, object]] = []
     for minsup in minsups:
         for factory in factories:
-            if engine is not None and factory is not Charm:
-                algorithm = factory(minsup, engine=engine)
-            else:
-                algorithm = factory(minsup)
-            database.clear_engine_caches()
-            run = algorithm.run(database)
+            run = factory(minsup).run(database)
             rows.append(
                 {
                     "dataset": database.name,

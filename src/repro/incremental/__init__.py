@@ -4,7 +4,7 @@ The mine-once/serve-compact pipeline of the paper meets live traffic
 here: instead of re-mining the whole context for every appended batch,
 this package extends the context in place-preserving fashion
 (:meth:`~repro.data.context.TransactionDatabase.extended` shares the
-packed relation prefix and warm engine views) and repairs the mined
+packed relation prefix and warm engine view) and repairs the mined
 artifacts — frequent family, closed family, generators, iceberg lattice
 — by re-evaluating only the *damaged* part: the itemsets contained in a
 changed row, i.e. the closed sets whose extents intersect the appended

@@ -31,7 +31,7 @@ import numpy as np
 from ..core.bitmatrix import packed_containment
 from ..core.families import ClosedItemsetFamily
 from ..core.lattice import IcebergLattice
-from ..core.order import OrderCore, pack_itemset_masks
+from ..core.order import OrderCore
 from ..core.parallel import get_executor
 
 __all__ = ["repair_lattice"]
@@ -69,14 +69,14 @@ def repair_lattice(
     byte-identical (edge arrays, containment words) to
     ``IcebergLattice(closed)`` built from scratch.
     """
-    members = closed.itemsets()
+    packed = closed.packed()
+    members = packed.members
     old_members = old_lattice.members
     if not members or not old_members:
         return IcebergLattice(closed, workers=workers)
 
     executor = get_executor(workers)
-    masks, _ = pack_itemset_masks(members)
-    proper = packed_containment(masks, executor=executor)
+    proper = packed_containment(packed.matrix.words, executor=executor)
 
     index = {member: i for i, member in enumerate(members)}
     old_to_new = np.array(

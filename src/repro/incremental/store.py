@@ -73,7 +73,6 @@ def update_store(
     window: int | None = None,
     damage_threshold: float = 0.5,
     verify: str = "off",
-    engine: str | None = None,
     workers: int | None = None,
 ) -> tuple[Path, IncrementalUpdateResult]:
     """Append *batch* to the store at *path* and rewrite it repaired.
@@ -93,7 +92,7 @@ def update_store(
     window:
         Optional sliding-window capacity: the oldest objects are evicted
         so that at most this many remain after the append.
-    damage_threshold, verify, engine, workers:
+    damage_threshold, verify, workers:
         Forwarded to :func:`~repro.incremental.update.update_mining`.
 
     Returns
@@ -126,7 +125,6 @@ def update_store(
         removed_count=removed_count,
         damage_threshold=damage_threshold,
         verify=verify,
-        engine=engine,
         lattice=stored.lattice,
         workers=workers,
     )

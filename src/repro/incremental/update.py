@@ -18,7 +18,7 @@ repair therefore only re-evaluates the damaged part of each artifact:
 * **supports** — for every old frequent member, the appended/removed
   covers are counted with one packed-word containment pass per changed
   row (vectorised over members), giving ``support' = support + add −
-  del`` without touching the engines;
+  del`` without touching the engine;
 * **new frequent itemsets** — any itemset newly reaching the threshold
   must occur in an appended row (its support could not have risen
   otherwise), so candidate discovery runs level-wise from the appended
@@ -148,7 +148,6 @@ def update_mining(
     removed_count: int = 0,
     damage_threshold: float = 0.5,
     verify: str = "off",
-    engine: str | None = None,
     lattice: IcebergLattice | None = None,
     workers: int | None = None,
 ) -> IncrementalUpdateResult:
@@ -176,8 +175,6 @@ def update_mining(
         mine of the extended context; ``"off"`` (default) trusts the
         maintenance algebra (an internal support consistency check stays
         on either way).
-    engine:
-        Closure engine backend, as for :func:`mine_itemsets`.
     lattice:
         The old iceberg lattice; when given (and the incremental path
         runs) the repaired lattice is returned on the result.
@@ -210,7 +207,7 @@ def update_mining(
 
     # Warm the old engine first so the extension inherits its packed
     # views, then build the extended context.
-    old_engine = old_db.engine(engine)
+    old_engine = old_db.engine()
     if removed_count == 0:
         new_db = old_db.extended(batch_rows)
     else:
@@ -222,7 +219,6 @@ def update_mining(
             object_ids=list(old_db.object_ids[removed_count:])
             + list(range(next_id, next_id + len(batch_rows))),
             name=old_db.name,
-            engine=old_db.default_engine_name,
         )
 
     added = [Itemset(row) for row in batch_rows]
@@ -231,7 +227,7 @@ def update_mining(
     closed_members = old_closed.itemsets()
 
     def fallback(reason: str, damaged: int = 0, ratio: float = 0.0):
-        fresh = mine_itemsets(new_db, minsup, engine=engine)
+        fresh = mine_itemsets(new_db, minsup)
         stats = UpdateStatistics(
             mode="remine",
             fallback_reason=reason,
@@ -384,7 +380,7 @@ def update_mining(
         ]
         + new_members
     )
-    new_engine = new_db.engine(engine)
+    new_engine = new_db.engine()
     closure_pairs = new_engine.closures_and_supports(damaged_frequent)
     closure_map: dict[Itemset, Itemset] = {}
     closed_supports: dict[Itemset, int] = {}
@@ -476,9 +472,7 @@ def update_mining(
         repaired_lattice = repair_lattice(lattice, closed_new, workers=workers)
 
     if verify == "oracle":
-        _verify_against_oracle(
-            mining_new, repaired_lattice, engine=engine, workers=workers
-        )
+        _verify_against_oracle(mining_new, repaired_lattice, workers=workers)
 
     stats = UpdateStatistics(
         mode="incremental",
@@ -502,11 +496,10 @@ def update_mining(
 def _verify_against_oracle(
     mining: ItemsetMiningResult,
     lattice: IcebergLattice | None,
-    engine: str | None,
     workers: int | None,
 ) -> None:
     """Assert the repaired artifacts equal a fresh mine of the context."""
-    fresh = mine_itemsets(mining.database, mining.minsup, engine=engine)
+    fresh = mine_itemsets(mining.database, mining.minsup)
     if not mining.frequent.same_contents(fresh.frequent):
         raise OracleMismatchError(
             "repaired frequent family differs from the fresh-mine oracle"

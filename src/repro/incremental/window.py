@@ -36,7 +36,7 @@ class SlidingWindow:
     capacity:
         Maximum number of objects retained; appends beyond it evict the
         oldest objects first.
-    damage_threshold, verify, engine, workers:
+    damage_threshold, verify, workers:
         Forwarded to :func:`~repro.incremental.update.update_mining`.
     track_lattice:
         When true, an iceberg lattice is built once up front and
@@ -53,7 +53,6 @@ class SlidingWindow:
         *,
         damage_threshold: float = 0.5,
         verify: str = "off",
-        engine: str | None = None,
         workers: int | None = None,
         track_lattice: bool = False,
     ) -> None:
@@ -69,9 +68,8 @@ class SlidingWindow:
         self._capacity = int(capacity)
         self._damage_threshold = damage_threshold
         self._verify = verify
-        self._engine = engine
         self._workers = workers
-        self._mining = mine_itemsets(database, minsup, engine=engine)
+        self._mining = mine_itemsets(database, minsup)
         self._lattice: IcebergLattice | None = (
             IcebergLattice(self._mining.closed, workers=workers)
             if track_lattice
@@ -143,7 +141,6 @@ class SlidingWindow:
             removed_count=evict,
             damage_threshold=self._damage_threshold,
             verify=self._verify,
-            engine=self._engine,
             lattice=self._lattice,
             workers=self._workers,
         )

@@ -1,8 +1,10 @@
 """Reference constructions the shipped array-native code is checked against.
 
 These are the classical per-rule object loops the library used before
-its columnar emitters.  They live with the tests, not in the package:
-slow and obviously correct, they exist only to be compared with.
+its columnar emitters, the Galois operators computed on Python sets and
+the brute-force generator and pseudo-closed checks.  They live with the
+tests, not in the package: slow and obviously correct, they exist only
+to be compared with.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from repro.algorithms.base import MiningStatistics
 from repro.core.bitmatrix import BitMatrix
 from repro.core.constants import EPSILON
 from repro.core.families import ClosedItemsetFamily, ItemsetFamily
-from repro.core.generators import GeneratorFamily
+from repro.core.generators import GeneratorFamily, is_minimal_generator
 from repro.core.itemset import Itemset
 from repro.core.lattice import IcebergLattice
-from repro.core.order import OrderCore, pack_itemset_masks
-from repro.core.rulearrays import RuleArrays
+from repro.core.order import OrderCore
+from repro.core.pseudo_closed import PseudoClosedItemset, _check_same_database
+from repro.core.rulearrays import RuleArrays, pack_itemsets_into, sorted_universe
 from repro.core.rules import AssociationRule, RuleSet
 from repro.data.context import TransactionDatabase
 
@@ -208,7 +211,8 @@ def reference_lattice(closed: ClosedItemsetFamily) -> IcebergLattice:
     edges = hasse_edges_reference(closed)
     rows = np.array([position[smaller] for smaller, _ in edges], dtype=np.int64)
     cols = np.array([position[larger] for _, larger in edges], dtype=np.int64)
-    masks, _ = pack_itemset_masks(members)
+    universe = sorted_universe(item for member in members for item in member)
+    masks = pack_itemsets_into(members, universe).words
     return IcebergLattice(closed, order_core=OrderCore.from_edges(masks, rows, cols))
 
 
@@ -254,6 +258,47 @@ def hasse_reduction(proper: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# The Galois connection on sets: the reference of the closure engine
+# ----------------------------------------------------------------------
+class GaloisReference:
+    """The Galois operators of a context, computed on Python sets.
+
+    The cover of ``X`` is the objects whose row holds ``X``; the closure
+    is the intersection of those rows, or the item universe when there
+    are none.
+    """
+
+    def __init__(self, database: TransactionDatabase) -> None:
+        self.items = database.items
+        self.rows = [row.as_frozenset() for row in database]
+
+    def cover(self, itemset) -> frozenset[int]:
+        items = Itemset.coerce(itemset).as_frozenset()
+        return frozenset(t for t, row in enumerate(self.rows) if items <= row)
+
+    def cover_bits(self, itemset) -> int:
+        return sum(1 << t for t in self.cover(itemset))
+
+    def vertical_bits(self) -> dict:
+        return {item: self.cover_bits(Itemset.of(item)) for item in self.items}
+
+    def closure(self, itemset) -> Itemset:
+        cover = self.cover(itemset)
+        if not cover:
+            return Itemset(self.items)
+        return Itemset(frozenset.intersection(*(self.rows[t] for t in cover)))
+
+    def supports(self, itemsets) -> list[int]:
+        return [len(self.cover(itemset)) for itemset in itemsets]
+
+    def closures_and_supports(self, itemsets) -> list[tuple[Itemset, int]]:
+        return [(self.closure(x), len(self.cover(x))) for x in itemsets]
+
+    def closures(self, itemsets) -> list[Itemset]:
+        return [self.closure(itemset) for itemset in itemsets]
+
+
+# ----------------------------------------------------------------------
 # Level-wise miners: the Itemset loops the rank-array kernel replaced
 # ----------------------------------------------------------------------
 class MinerReference(NamedTuple):
@@ -289,10 +334,9 @@ def apriori_reference(
     database: TransactionDatabase,
     minsup: float,
     max_size: int | None = None,
-    engine: str | None = None,
 ) -> MinerReference:
-    """Apriori's level loop over itemset objects and ``engine.supports``."""
-    evaluator = database.engine(engine)
+    """Apriori's level loop over itemset objects and set-based supports."""
+    evaluator = GaloisReference(database)
     threshold = database.minsup_count(minsup)
     statistics = MiningStatistics(database_passes=1, levels=1)
     supports: dict[Itemset, int] = {}
@@ -322,11 +366,9 @@ def apriori_reference(
     return MinerReference(family, statistics, {}, [])
 
 
-def close_reference(
-    database: TransactionDatabase, minsup: float, engine: str | None = None
-) -> MinerReference:
+def close_reference(database: TransactionDatabase, minsup: float) -> MinerReference:
     """Close's level loop: every candidate closed, redundancy tested per subset."""
-    evaluator = database.engine(engine)
+    evaluator = GaloisReference(database)
     threshold = database.minsup_count(minsup)
     statistics = MiningStatistics()
     closed_supports: dict[Itemset, int] = {}
@@ -373,11 +415,9 @@ def close_reference(
     return MinerReference(family, statistics, generators, [])
 
 
-def aclose_reference(
-    database: TransactionDatabase, minsup: float, engine: str | None = None
-) -> MinerReference:
+def aclose_reference(database: TransactionDatabase, minsup: float) -> MinerReference:
     """A-Close's level loop: generator test per subset, then one closure batch."""
-    evaluator = database.engine(engine)
+    evaluator = GaloisReference(database)
     threshold = database.minsup_count(minsup)
     n_objects = database.n_objects
     statistics = MiningStatistics(database_passes=1, levels=1)
@@ -426,6 +466,104 @@ def aclose_reference(
         closure: sorted(members) for closure, members in generators_by_closure.items()
     }
     return MinerReference(family, statistics, generators, ordered)
+
+# ----------------------------------------------------------------------
+# Generators and pseudo-closed sets by brute force
+# ----------------------------------------------------------------------
+def minimal_generators_brute_force(
+    database: TransactionDatabase, closed: Itemset
+) -> list[Itemset]:
+    """Enumerate the minimal generators of one closed itemset by brute force.
+
+    Inspects every subset of *closed*, keeps those whose closure is
+    *closed*, and retains the minimal ones with respect to set inclusion.
+    """
+    closed = Itemset.coerce(closed)
+    with_same_closure = [
+        subset
+        for size in range(len(closed) + 1)
+        for subset in closed.subsets_of_size(size)
+        if database.closure(subset) == closed
+    ]
+    minimal: list[Itemset] = []
+    for candidate in sorted(with_same_closure, key=len):
+        if not any(existing.issubset(candidate) for existing in minimal):
+            minimal.append(candidate)
+    return sorted(minimal)
+
+
+def generator_violations(
+    generators: GeneratorFamily, database: TransactionDatabase
+) -> list[str]:
+    """Human-readable violations of *generators* in *database* (empty if none).
+
+    Checks, for every recorded pair, that the generator's closure in
+    *database* is its key and that the generator satisfies the minimal
+    generator property.
+    """
+    problems: list[str] = []
+    for closed in generators.closed_itemsets():
+        for generator in generators.generators_of(closed):
+            closure = database.closure(generator)
+            if closure != closed:
+                problems.append(
+                    f"closure of {generator} is {closure}, recorded under {closed}"
+                )
+            if len(generator) > 0 and not is_minimal_generator(database, generator):
+                problems.append(f"{generator} is not a minimal generator")
+    return problems
+
+
+def frequent_pseudo_closed_itemsets_reference(
+    frequent: ItemsetFamily,
+    closed: ClosedItemsetFamily,
+) -> list[PseudoClosedItemset]:
+    """The pre-vectorisation per-pair computation of the pseudo-closed sets.
+
+    Same contract as
+    :func:`repro.core.pseudo_closed.frequent_pseudo_closed_itemsets`; the
+    inner condition is the original ``O(|frequent| · |found|)`` Python loop.
+    """
+    _check_same_database(frequent, closed)
+
+    found: list[PseudoClosedItemset] = []
+    bottom = closed.bottom_closure()
+
+    def consider(candidate: Itemset, support_count: int) -> None:
+        if candidate in closed:
+            return  # closed, hence not pseudo-closed
+        for previous in found:
+            if previous.itemset.is_proper_subset(candidate) and not (
+                previous.closure.issubset(candidate)
+            ):
+                return
+        if not candidate:
+            # The closure of the empty itemset is the set of items common to
+            # every object; ``closure_of`` cannot be used here because the
+            # miners never list h(∅) as a family member when it is empty.
+            closure = bottom
+        else:
+            closure = closed.closure_of(candidate)
+        if closure is None:
+            return
+        if closure == candidate:
+            return
+        found.append(
+            PseudoClosedItemset(
+                itemset=candidate, closure=closure, support_count=support_count
+            )
+        )
+
+    empty = Itemset.empty()
+    if bottom:
+        consider(empty, frequent.n_objects)
+
+    for candidate in frequent.itemsets():
+        if not candidate:
+            continue  # already handled explicitly
+        consider(candidate, frequent.support_count(candidate))
+
+    return sorted(found, key=lambda p: p.itemset)
 
 
 # ----------------------------------------------------------------------

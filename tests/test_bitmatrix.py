@@ -21,9 +21,15 @@ from repro.core.bitmatrix import (
     packed_hasse_reduction,
 )
 from repro.core.itemset import Itemset
-from repro.core.order import pack_itemset_masks
+from repro.core.rulearrays import pack_itemsets_into, sorted_universe
 
 from oracles import containment_matrix, hasse_reduction
+
+
+def _masks(members: list[Itemset]) -> np.ndarray:
+    """The members' packed item-mask words over their sorted items."""
+    universe = sorted_universe(item for member in members for item in member)
+    return pack_itemsets_into(members, universe).words
 
 
 @st.composite
@@ -183,7 +189,7 @@ class TestPackedOrderConstruction:
     @settings(max_examples=60, deadline=None)
     @given(members=itemset_families())
     def test_containment_matches_dense(self, members):
-        masks, _ = pack_itemset_masks(members)
+        masks = _masks(members)
         assert np.array_equal(
             packed_containment(masks).to_dense(), containment_matrix(masks)
         )
@@ -195,7 +201,7 @@ class TestPackedOrderConstruction:
         # full-scan fallback must give the same relation.
         shuffled = list(members)
         np.random.default_rng(seed).shuffle(shuffled)
-        masks, _ = pack_itemset_masks(shuffled)
+        masks = _masks(shuffled)
         assert np.array_equal(
             packed_containment(masks).to_dense(), containment_matrix(masks)
         )
@@ -203,7 +209,7 @@ class TestPackedOrderConstruction:
     @settings(max_examples=60, deadline=None)
     @given(members=itemset_families())
     def test_hasse_reduction_matches_dense(self, members):
-        masks, _ = pack_itemset_masks(members)
+        masks = _masks(members)
         dense_proper = containment_matrix(masks)
         packed_proper = packed_containment(masks)
         assert np.array_equal(

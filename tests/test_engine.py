@@ -1,18 +1,20 @@
-"""Tests of the batch closure engines (`repro.engine`).
+"""Tests of the batch closure engine (`repro.engine`).
 
 Four groups of guarantees:
 
 * **batch/single agreement** — property tests that ``closures()`` /
   ``supports()`` / ``extents()`` over a batch agree itemset-by-itemset
-  with the single-itemset ``TransactionDatabase`` API and with a
-  brute-force reference, on random contexts;
-* **engine equivalence** — the numpy and bitset backends return identical
-  results on random contexts;
+  with the single-itemset ``TransactionDatabase`` API and with the
+  set-based Galois reference of ``oracles.py``, on random contexts;
+* **reference agreement** — on contexts whose objects and items
+  straddle a packed word boundary, on larger random contexts, and for
+  every miner's family;
 * **cache behaviour** — LRU hits/misses/eviction of the shared closure
-  cache;
+  cache, and the database's one engine (extended and restricted
+  contexts get their own);
 * **wiring** — the level-wise miners route whole candidate levels
   through the engine's level entry point, which agrees with the
-  ``Itemset`` batch methods.
+  reference serially and sharded over two threads.
 """
 
 from __future__ import annotations
@@ -26,15 +28,15 @@ from hypothesis import given, settings, strategies as st
 from repro import AClose, Apriori, Charm, Close, TransactionDatabase
 from repro.algorithms.levelwise import decode_packed
 from repro.core.itemset import Itemset
-from repro.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    BitsetClosureEngine,
-    NumpyClosureEngine,
-    make_engine,
-    resolve_engine_name,
+from repro.engine import ClosureEngine
+from repro.errors import InvalidItemsetError
+
+from oracles import (
+    GaloisReference,
+    aclose_reference,
+    apriori_reference,
+    close_reference,
 )
-from repro.errors import InvalidItemsetError, InvalidParameterError
 
 ITEM_POOL = ["a", "b", "c", "d", "e", "f"]
 
@@ -64,7 +66,7 @@ def context_and_batch(draw):
 def wide_context_and_batch(draw):
     """63/64/65 objects over 63/64/65 items, with batches of 1–8 candidates.
 
-    Both packed axes of the numpy engine (object bits per item row, item
+    Both packed axes of the engine (object bits per item row, item
     bits per object row) straddle a uint64 word boundary.  The cells come
     from a seeded generator: drawn one by one, ~4,000 of them exceed
     hypothesis's entropy budget and fail its data-size health check.
@@ -82,16 +84,6 @@ def wide_context_and_batch(draw):
     return db, batch
 
 
-def brute_force_closure(db: TransactionDatabase, itemset: Itemset) -> Itemset:
-    covering = [row for row in db if itemset.issubset(row)]
-    if not covering:
-        return db.item_universe
-    result = covering[0]
-    for row in covering[1:]:
-        result = result.intersection(row)
-    return result
-
-
 def make_random_db(seed: int, n_objects: int = 60, n_items: int = 10):
     rng = random.Random(seed)
     rows = [
@@ -106,29 +98,27 @@ def make_random_db(seed: int, n_objects: int = 60, n_items: int = 10):
 # ----------------------------------------------------------------------
 class TestBatchAgreesWithSingle:
     @settings(max_examples=60, deadline=None)
-    @given(data=context_and_batch(), engine_name=st.sampled_from(sorted(ENGINES)))
-    def test_closures_match_per_itemset_closure(self, data, engine_name):
+    @given(data=context_and_batch())
+    def test_closures_match_per_itemset_closure(self, data):
         db, batch = data
-        engine = make_engine(db, engine_name)
-        closures = engine.closures(batch)
+        reference = GaloisReference(db)
+        closures = ClosureEngine(db).closures(batch)
         assert len(closures) == len(batch)
         for itemset, closure in zip(batch, closures):
             assert closure == db.closure(itemset)
-            assert closure == brute_force_closure(db, itemset)
+            assert closure == reference.closure(itemset)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=context_and_batch(), engine_name=st.sampled_from(sorted(ENGINES)))
-    def test_supports_and_extents_match_reference(self, data, engine_name):
+    @given(data=context_and_batch())
+    def test_supports_and_extents_match_reference(self, data):
         db, batch = data
-        engine = make_engine(db, engine_name)
+        reference = GaloisReference(db)
+        engine = ClosureEngine(db)
         supports = engine.supports(batch)
         extents = engine.extents(batch)
         for itemset, support, extent in zip(batch, supports, extents):
-            expected = frozenset(
-                t for t, row in enumerate(db) if itemset.issubset(row)
-            )
-            assert extent == expected
-            assert support == len(expected)
+            assert extent == reference.cover(itemset)
+            assert support == len(extent)
 
     @settings(max_examples=40, deadline=None)
     @given(data=context_and_batch())
@@ -147,75 +137,68 @@ class TestBatchAgreesWithSingle:
         batch = [
             Itemset(rng.sample(db.items, rng.randint(0, 4))) for _ in range(300)
         ]
-        engine = make_engine(db, "numpy", cache_size=0)
+        engine = ClosureEngine(db, cache_size=0)
         expected = [engine.closure_and_support(c) for c in batch]
         assert engine.closures_and_supports(batch) == expected
 
     def test_unknown_item_raises(self):
         db = make_random_db(2)
-        for name in sorted(ENGINES):
-            with pytest.raises(InvalidItemsetError):
-                make_engine(db, name).closures([Itemset.of("nope")])
+        with pytest.raises(InvalidItemsetError):
+            ClosureEngine(db).closures([Itemset.of("nope")])
 
     def test_duplicates_in_one_batch(self):
         db = make_random_db(3)
         itemset = Itemset.of(db.items[0])
-        engine = make_engine(db, "numpy")
+        engine = ClosureEngine(db)
         closures = engine.closures([itemset, itemset, itemset])
         assert closures[0] == closures[1] == closures[2] == db.closure(itemset)
 
 
 # ----------------------------------------------------------------------
-# The two backends are interchangeable
+# The engine equals the set-based reference
 # ----------------------------------------------------------------------
-class TestEngineEquivalence:
+class TestEngineMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(data=st.one_of(context_and_batch(), wide_context_and_batch()))
-    def test_numpy_and_bitset_agree(self, data):
+    def test_batches_match_set_reference(self, data):
         db, batch = data
-        numpy_engine = make_engine(db, "numpy")
-        bitset_engine = make_engine(db, "bitset")
-        assert numpy_engine.closures_and_supports(
-            batch
-        ) == bitset_engine.closures_and_supports(batch)
-        assert numpy_engine.extents(batch) == bitset_engine.extents(batch)
+        engine = ClosureEngine(db)
+        reference = GaloisReference(db)
+        expected = reference.closures_and_supports(batch)
+        assert engine.closures_and_supports(batch) == expected
+        assert engine.extents(batch) == [reference.cover(itemset) for itemset in batch]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_engines_agree_on_larger_random_contexts(self, seed):
+    def test_larger_random_contexts_match_set_reference(self, seed):
         db = make_random_db(seed, n_objects=150, n_items=14)
         rng = random.Random(seed + 100)
         batch = [
             Itemset(rng.sample(db.items, rng.randint(0, 5))) for _ in range(200)
         ]
-        assert make_engine(db, "numpy").closures_and_supports(
-            batch
-        ) == make_engine(db, "bitset").closures_and_supports(batch)
+        expected = GaloisReference(db).closures_and_supports(batch)
+        assert ClosureEngine(db).closures_and_supports(batch) == expected
 
-    @pytest.mark.parametrize("engine_name", sorted(ENGINES))
-    def test_miners_equivalent_across_engines(self, engine_name):
+    @pytest.mark.parametrize(
+        ("miner", "reference"),
+        [
+            (Apriori, apriori_reference),
+            (Close, close_reference),
+            (AClose, aclose_reference),
+            (Charm, close_reference),
+        ],
+        ids=["Apriori", "Close", "A-Close", "CHARM"],
+    )
+    def test_miners_match_set_based_references(self, miner, reference):
         db = make_random_db(7, n_objects=80, n_items=9)
-        reference = {
-            "Close": Close(0.1).mine(db),
-            "A-Close": AClose(0.1).mine(db),
-            "Apriori": Apriori(0.1).mine(db),
-        }
-        assert dict(Close(0.1, engine=engine_name).mine(db).items_with_supports()) == dict(
-            reference["Close"].items_with_supports()
-        )
-        assert dict(
-            AClose(0.1, engine=engine_name).mine(db).items_with_supports()
-        ) == dict(reference["A-Close"].items_with_supports())
-        assert dict(
-            Apriori(0.1, engine=engine_name).mine(db).items_with_supports()
-        ) == dict(reference["Apriori"].items_with_supports())
+        expected = reference(db, 0.1).family.items_with_supports()
+        assert dict(miner(0.1).mine(db).items_with_supports()) == dict(expected)
 
     def test_empty_context_edge_cases(self):
         db = TransactionDatabase([[]], item_order=["a", "b"])
-        for name in sorted(ENGINES):
-            engine = make_engine(db, name)
-            assert engine.closures([Itemset.empty()]) == [Itemset.empty()]
-            assert engine.supports([Itemset.of("a")]) == [0]
-            assert engine.closures([Itemset.of("a")]) == [db.item_universe]
+        engine = ClosureEngine(db)
+        assert engine.closures([Itemset.empty()]) == [Itemset.empty()]
+        assert engine.supports([Itemset.of("a")]) == [0]
+        assert engine.closures([Itemset.of("a")]) == [db.item_universe]
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +207,7 @@ class TestEngineEquivalence:
 class TestClosureCache:
     def test_repeated_single_calls_hit_the_cache(self):
         db = make_random_db(11)
-        engine = make_engine(db, "numpy")
+        engine = ClosureEngine(db)
         itemset = Itemset.of(db.items[0], db.items[1])
         first = engine.closure_and_support(itemset)
         info_after_first = engine.cache_info()
@@ -237,7 +220,7 @@ class TestClosureCache:
 
     def test_batch_only_computes_cache_misses(self):
         db = make_random_db(12)
-        engine = make_engine(db, "numpy")
+        engine = ClosureEngine(db)
         warm = [Itemset.of(item) for item in db.items[:3]]
         cold = [Itemset.of(item) for item in db.items[3:6]]
         engine.closures(warm)
@@ -249,7 +232,7 @@ class TestClosureCache:
 
     def test_supports_use_cached_closure_pairs(self):
         db = make_random_db(13)
-        engine = make_engine(db, "numpy")
+        engine = ClosureEngine(db)
         itemset = Itemset.of(db.items[0])
         _, support = engine.closure_and_support(itemset)
         assert engine.supports([itemset]) == [support]
@@ -257,7 +240,7 @@ class TestClosureCache:
 
     def test_lru_eviction_bounds_cache_size(self):
         db = make_random_db(14)
-        engine = make_engine(db, "numpy", cache_size=4)
+        engine = ClosureEngine(db, cache_size=4)
         batch = [Itemset.of(item) for item in db.items[:8]]
         engine.closures(batch)
         info = engine.cache_info()
@@ -271,12 +254,12 @@ class TestClosureCache:
 
     def test_cache_clear_and_disabled_cache(self):
         db = make_random_db(15)
-        engine = make_engine(db, "numpy")
+        engine = ClosureEngine(db)
         engine.closure(Itemset.of(db.items[0]))
         engine.cache_clear()
         info = engine.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-        uncached = make_engine(db, "numpy", cache_size=0)
+        uncached = ClosureEngine(db, cache_size=0)
         uncached.closure(Itemset.of(db.items[0]))
         uncached.closure(Itemset.of(db.items[0]))
         assert uncached.cache_info().currsize == 0
@@ -284,38 +267,13 @@ class TestClosureCache:
 
 
 # ----------------------------------------------------------------------
-# Engine selection seam
+# The database's engine
 # ----------------------------------------------------------------------
-class TestEngineSelection:
-    def test_database_engine_accessor_caches_per_backend(self):
+class TestDatabaseEngine:
+    def test_database_engine_is_built_once(self):
         db = make_random_db(21)
-        assert db.engine() is db.engine(DEFAULT_ENGINE)
-        assert db.engine("bitset") is db.engine("bitset")
-        assert isinstance(db.engine("numpy"), NumpyClosureEngine)
-        assert isinstance(db.engine("bitset"), BitsetClosureEngine)
-        assert db.engine("numpy") is not db.engine("bitset")
-
-    def test_database_default_engine_kwarg(self):
-        rows = [["a", "b"], ["a"]]
-        db = TransactionDatabase(rows, engine="bitset")
-        assert db.default_engine_name == "bitset"
-        assert isinstance(db.engine(), BitsetClosureEngine)
-        restricted = db.restrict_to_items(["a"])
-        assert restricted.default_engine_name == "bitset"
-
-    def test_unknown_engine_name_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_engine_name("fortran")
-        db = make_random_db(22)
-        with pytest.raises(InvalidParameterError):
-            db.engine("fortran")
-        with pytest.raises(InvalidParameterError):
-            Close(0.5, engine="fortran")
-
-    def test_charm_requires_bitset_engine(self):
-        with pytest.raises(InvalidParameterError):
-            Charm(0.5, engine="numpy")
-        assert Charm(0.5, engine="bitset").engine_name == "bitset"
+        assert isinstance(db.engine(), ClosureEngine)
+        assert db.engine() is db.engine()
 
     def test_database_wrappers_route_through_default_engine(self):
         db = make_random_db(23)
@@ -323,6 +281,29 @@ class TestEngineSelection:
         db.closure(itemset)
         db.closure(itemset)
         assert db.engine().cache_info().hits >= 1
+
+    def test_extended_database_carries_a_cold_cache_over(self):
+        db = make_random_db(24)
+        engine = db.engine()
+        probes = [Itemset.of(item) for item in db.items]
+        engine.closures(probes)
+        extended = db.extended([db.items[:2], db.items[2:5]])
+        carried = extended.engine()
+        assert carried is not engine and carried.database is extended
+        info = carried.cache_info()
+        assert (info.currsize, info.maxsize) == (0, engine.cache_info().maxsize)
+        expected = GaloisReference(extended).closures_and_supports(probes)
+        assert carried.closures_and_supports(probes) == expected
+
+    def test_restricted_database_builds_its_own_engine(self):
+        db = make_random_db(25)
+        kept = db.items[:5]
+        restricted = db.restrict_to_items(kept)
+        assert restricted.engine() is not db.engine()
+        assert restricted.engine().database is restricted
+        probes = [Itemset.empty()] + [Itemset.of(item) for item in kept]
+        expected = GaloisReference(restricted).closures_and_supports(probes)
+        assert restricted.engine().closures_and_supports(probes) == expected
 
 
 # ----------------------------------------------------------------------
@@ -387,31 +368,34 @@ class TestMinersUseBatches:
 # The level entry point agrees with the Itemset batch methods
 # ----------------------------------------------------------------------
 class TestEvaluateLevel:
-    @pytest.mark.parametrize("engine_name", ["numpy", "bitset"])
+    """Serial and two-thread engines: the sharded gather and AND-reduce too."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("close_at", [None, 0, 1, 3])
-    def test_matches_itemset_batches(self, engine_name, close_at):
+    def test_matches_set_reference(self, close_at, workers):
         rng = random.Random(35)
         rows = [
             sorted({f"i{rng.randrange(66)}" for _ in range(rng.randint(0, 30))})
             for _ in range(70)
         ]
         db = TransactionDatabase(rows)
-        engine = make_engine(db, engine_name, cache_size=0)
+        reference = GaloisReference(db)
         columns = np.random.default_rng(35).integers(0, db.n_items, size=(300, 3))
         columns[:20, 1:] = columns[:20, :1]  # rows padded by repeating an item
         itemsets = [Itemset(db.items[c] for c in row) for row in columns.tolist()]
+        engine = ClosureEngine(db, cache_size=0, workers=workers)
         supports, closures = engine.evaluate_level(columns, close_at=close_at)
-        assert supports.tolist() == engine.supports(itemsets)
+        assert supports.tolist() == reference.supports(itemsets)
         if close_at is None:
             assert closures is None
             return
         closed = np.flatnonzero(supports >= close_at)
-        expected = engine.closures([itemsets[r] for r in closed])
+        expected = reference.closures([itemsets[r] for r in closed])
         assert decode_packed(closures, db.items) == expected
 
-    @pytest.mark.parametrize("engine_name", ["numpy", "bitset"])
-    def test_empty_level(self, engine_name):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_level(self, workers):
         db = make_random_db(36)
-        engine = make_engine(db, engine_name)
+        engine = ClosureEngine(db, workers=workers)
         supports, closures = engine.evaluate_level(np.zeros((0, 2), dtype=np.intp), 1)
         assert supports.shape == (0,) and closures.shape[0] == 0

@@ -173,7 +173,7 @@ class TestClosureOfIndex:
     def test_support_tie_resolution_prefers_lower_count(self):
         # Deliberately malformed family (two incomparable same-size members
         # both containing the query): the documented tie rule is minimal
-        # support, then earliest insertion.
+        # support, then canonical order.
         family = ClosedItemsetFamily(
             {Itemset("ab"): 4, Itemset("ac"): 2}, n_objects=5
         )

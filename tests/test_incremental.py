@@ -54,11 +54,9 @@ def random_batch(seed: int, size: int, n_items: int = 8, max_row: int = 6):
     ]
 
 
-def assert_matches_fresh_mine(result, engine=None):
+def assert_matches_fresh_mine(result):
     """The strong form of the oracle: every artifact equals a fresh mine."""
-    fresh = mine_itemsets(
-        result.mining.database, result.mining.minsup, engine=engine
-    )
+    fresh = mine_itemsets(result.mining.database, result.mining.minsup)
     assert result.mining.frequent.same_contents(fresh.frequent)
     assert result.mining.closed.same_contents(fresh.closed)
     assert result.mining.generators_by_closure == fresh.generators_by_closure
@@ -91,19 +89,27 @@ class TestExtendedDatabase:
             probe = Itemset([item])
             assert extended.support_count(probe) == fresh.support_count(probe)
 
-    @pytest.mark.parametrize("backend", ["numpy", "bitset"])
-    def test_warm_engine_equals_cold_engine(self, toy_db, backend):
-        warm_src = toy_db.engine(backend)
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [["a", "b", "f"], ["c"]],
+            [["a", "c"], ["b", "e"]],
+            [["a", "b", "c", "e"]] * 40 + [["d", "g"]] * 30,
+        ],
+        ids=["new-item", "known-items", "past-word-boundary"],
+    )
+    def test_warm_engine_equals_cold_engine(self, toy_db, batch):
+        warm_src = toy_db.engine()
         assert warm_src is not None  # materialise before extending
-        extended = toy_db.extended([["a", "b", "f"], ["c"]])
-        warm = extended.engine(backend)
+        extended = toy_db.extended(batch)
+        warm = extended.engine()
         cold = type(warm)(extended)
-        probes = [
-            Itemset(p) for p in ([], ["a"], ["c", "e"], ["f"], ["a", "b", "c"])
-        ]
+        probes = [Itemset(p) for p in ([], ["c", "e"], ["a", "b", "c"])]
+        probes += [Itemset([item]) for item in extended.items]
         for probe in probes:
             assert warm.closure(probe) == cold.closure(probe)
             assert warm.support_count(probe) == cold.support_count(probe)
+        assert warm.extents(probes) == cold.extents(probes)
 
     def test_object_id_length_is_validated(self, toy_db):
         with pytest.raises(InvalidParameterError):
@@ -150,18 +156,20 @@ class TestUpdateMining:
         assert result.statistics.mode == "incremental"
         assert_matches_fresh_mine(result)
 
-    @pytest.mark.parametrize("backend", ["numpy", "bitset"])
-    def test_both_engines_agree(self, backend):
+    @pytest.mark.parametrize("warm_cache", [False, True], ids=["cold", "warm"])
+    def test_base_closure_cache_does_not_leak(self, warm_cache):
         db = make_random_db(7)
-        mining = mine_itemsets(db, 0.2, engine=backend)
+        mining = mine_itemsets(db, 0.2)
+        if warm_cache:
+            # Cache the base context's pairs; the appended rows change them.
+            frequent = [itemset for itemset, _ in mining.frequent.items_with_supports()]
+            db.engine().closures_and_supports(frequent)
+            assert db.engine().cache_info().currsize == len(frequent)
         result = update_mining(
-            mining,
-            random_batch(7, 3),
-            damage_threshold=1.0,
-            verify="oracle",
-            engine=backend,
+            mining, random_batch(7, 3), damage_threshold=1.0, verify="oracle"
         )
         assert result.statistics.mode == "incremental"
+        assert_matches_fresh_mine(result)
 
     def test_removal_keeps_exactness(self):
         db = make_random_db(11)

@@ -3,11 +3,14 @@
 Apriori, Close and A-Close run their level loops on sorted arrays of item
 ranks (:mod:`repro.algorithms.levelwise`).  The references in
 ``oracles.py`` are the object loops the miners ran before: one
-``Itemset`` join and prune per candidate, every Close candidate closed.
-On every drawn context the shipped miners must agree with them on
-everything they expose: the families in iteration order, the generators
-and every statistics counter the paper's figures plot.  Both engines run
-at one and at three kernel workers.
+``Itemset`` join and prune per candidate, every Close candidate closed,
+every support and closure computed on Python sets.  On every drawn
+context the shipped miners must agree with them on everything they
+expose: the families in iteration order, the generators and every
+statistics counter the paper's figures plot, at one and at three kernel
+workers.  CHARM, which searches the context's vertical tidsets, must
+find Close's closed family, and those tidsets and the covers built from
+them must equal the set-based reference.
 """
 
 from __future__ import annotations
@@ -19,12 +22,17 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AClose, Apriori, Close, TransactionDatabase
+from repro import AClose, Apriori, Charm, Close, TransactionDatabase
+from repro.core.itemset import Itemset
 from repro.core.parallel import WORKERS_ENV_VAR
 
-from oracles import aclose_reference, apriori_reference, close_reference
+from oracles import (
+    GaloisReference,
+    aclose_reference,
+    apriori_reference,
+    close_reference,
+)
 
-ENGINES = ("numpy", "bitset")
 WORKER_COUNTS = ("1", "3")
 
 
@@ -86,7 +94,7 @@ def mining_inputs(draw) -> tuple[TransactionDatabase, float]:
     # column order is not the canonical item order.
     base = TransactionDatabase(rows)
     if draw(st.booleans()):
-        base.engine("numpy"), base.engine("bitset")  # carried over warm
+        base.engine()  # carried over warm
     batch = _random_rows(seed + 1, list("abcdefgh"), draw(st.integers(1, 6)), density)
     return base.extended(batch), minsup
 
@@ -99,34 +107,41 @@ def mining_inputs(draw) -> tuple[TransactionDatabase, float]:
 @given(case=mining_inputs(), max_size=st.sampled_from([None, 0, 1, 2, 3]))
 def test_level_kernel_matches_itemset_loops(case, max_size):
     database, minsup = case
-    apriori = apriori_reference(database, minsup, max_size, engine="bitset")
-    close = close_reference(database, minsup, engine="bitset")
-    aclose = aclose_reference(database, minsup, engine="bitset")
-    for engine in ENGINES:
-        for workers in WORKER_COUNTS:
-            context = f"engine={engine} workers={workers}"
-            with mock.patch.dict(os.environ, {WORKERS_ENV_VAR: workers}):
-                apriori_run = Apriori(minsup, max_size=max_size, engine=engine).run(
-                    database
-                )
-                close_miner = Close(minsup, engine=engine)
-                close_run = close_miner.run(database)
-                aclose_miner = AClose(minsup, engine=engine)
-                aclose_run = aclose_miner.run(database)
-            assert _ordered(apriori_run.family) == _ordered(apriori.family), context
-            assert _counters(apriori_run.statistics) == _counters(apriori.statistics)
+    apriori = apriori_reference(database, minsup, max_size)
+    close = close_reference(database, minsup)
+    aclose = aclose_reference(database, minsup)
+    for workers in WORKER_COUNTS:
+        context = f"workers={workers}"
+        with mock.patch.dict(os.environ, {WORKERS_ENV_VAR: workers}):
+            apriori_run = Apriori(minsup, max_size=max_size).run(database)
+            close_miner = Close(minsup)
+            close_run = close_miner.run(database)
+            aclose_miner = AClose(minsup)
+            aclose_run = aclose_miner.run(database)
+        assert _ordered(apriori_run.family) == _ordered(apriori.family), context
+        assert _counters(apriori_run.statistics) == _counters(apriori.statistics)
 
-            assert _ordered(close_run.family) == _ordered(close.family), context
-            assert _generators(close_miner.generators_by_closure) == _generators(
-                close.generators_by_closure
-            ), context
-            assert _counters(close_run.statistics) == _counters(close.statistics)
+        assert _ordered(close_run.family) == _ordered(close.family), context
+        assert _generators(close_miner.generators_by_closure) == _generators(
+            close.generators_by_closure
+        ), context
+        assert _counters(close_run.statistics) == _counters(close.statistics)
 
-            assert _ordered(aclose_run.family) == _ordered(aclose.family), context
-            assert _generators(aclose_miner.generators_by_closure) == _generators(
-                aclose.generators_by_closure
-            ), context
-            assert [list(g) for g in aclose_miner.generators] == [
-                list(g) for g in aclose.generators
-            ], context
-            assert _counters(aclose_run.statistics) == _counters(aclose.statistics)
+        assert _ordered(aclose_run.family) == _ordered(aclose.family), context
+        assert _generators(aclose_miner.generators_by_closure) == _generators(
+            aclose.generators_by_closure
+        ), context
+        assert [list(g) for g in aclose_miner.generators] == [
+            list(g) for g in aclose.generators
+        ], context
+        assert _counters(aclose_run.statistics) == _counters(aclose.statistics)
+
+    charm = Charm(minsup).mine(database)
+    assert list(charm.items_with_supports()) == list(close.family.items_with_supports())
+
+    reference = GaloisReference(database)
+    assert database.vertical_bits() == reference.vertical_bits()
+    probes = [Itemset.empty(), Itemset(database.items), *apriori.family.itemsets()]
+    assert [database.cover_bits(probe) for probe in probes] == [
+        reference.cover_bits(probe) for probe in probes
+    ]

@@ -34,7 +34,7 @@ from repro.core.parallel import (
     shard_spans,
 )
 from repro.data.synthetic import make_rule_dense_family, make_star_closed_family
-from repro.engine import make_engine
+from repro.engine import ClosureEngine
 from repro.errors import InvalidParameterError
 from repro.experiments.harness import build_rule_artifacts, mine_itemsets
 from repro.store import load_run, save_run
@@ -342,8 +342,8 @@ def test_engine_parallel_closures_identical(toy_db, workers):
         for size in range(0, 4)
         for combo in combinations(toy_db.items, size)
     ]
-    serial = make_engine(toy_db, "numpy", workers=1)
-    parallel = make_engine(toy_db, "numpy", workers=workers)
+    serial = ClosureEngine(toy_db, workers=1)
+    parallel = ClosureEngine(toy_db, workers=workers)
     assert serial.closures_and_supports(candidates) == parallel.closures_and_supports(
         candidates
     )
@@ -354,14 +354,14 @@ def test_engine_parallel_closures_identical(toy_db, workers):
 def test_engine_cache_is_thread_safe(toy_db):
     from itertools import combinations
 
-    engine = make_engine(toy_db, "numpy", cache_size=4, workers=2)
+    engine = ClosureEngine(toy_db, cache_size=4, workers=2)
     candidates = [
         frozenset(combo)
         for size in range(1, 4)
         for combo in combinations(toy_db.items, size)
     ]
     oracle = dict(
-        zip(candidates, make_engine(toy_db, "numpy").closures_and_supports(candidates))
+        zip(candidates, ClosureEngine(toy_db).closures_and_supports(candidates))
     )
     errors: list[BaseException] = []
 

@@ -9,9 +9,10 @@ from repro.core.itemset import Itemset
 from repro.core.pseudo_closed import (
     PseudoClosedItemset,
     frequent_pseudo_closed_itemsets,
-    frequent_pseudo_closed_itemsets_reference,
 )
 from repro.errors import InvalidParameterError
+
+from oracles import frequent_pseudo_closed_itemsets_reference
 
 
 def compute(db, minsup):

@@ -384,15 +384,6 @@ class TestWarmStart:
         assert "error:" in err and "--dataset" in err
         assert cli.main(["load", str(tmp_path / "absent.npz")]) == 2
         assert "store file not found" in capsys.readouterr().err
-        store_path = tmp_path / "engine.npz"
-        store.save_run(store_path, closed=mine_itemsets(make_random_db(4), 0.2).closed)
-        assert (
-            cli.main(
-                ["bases", "--from-store", str(store_path), "--engine", "numpy"]
-            )
-            == 2
-        )
-        assert "--engine has no effect" in capsys.readouterr().err
 
     def test_missing_minconf_requires_explicit(self, tmp_path, toy_mining):
         path = tmp_path / "nominconf.npz"
