@@ -8,8 +8,10 @@ right place to watch for performance regressions of the library itself.
 The ``engine``-named benchmarks time the batch closure path of
 :mod:`repro.engine` on the dense Fig. 1 workload (MUSHROOM*): closing a
 whole 1k/10k-candidate level in one engine call versus the equivalent
-per-itemset closure loop; and whole Apriori, Close and A-Close runs on a
-sparse Quest context, which time the shared rank-array candidate kernel.
+per-itemset closure loop; whole Apriori, Close and A-Close runs on a
+sparse Quest context, which time the shared rank-array candidate kernel;
+and the incremental repair of a 20-row append to that context, which
+mines its damaged region on the same kernel.
 CI's benchmark job records these with ``--benchmark-json`` and
 ``scripts/check_bench_regression.py`` flags any engine benchmark that
 slows down more than 2x against the base branch.
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import AClose, Apriori, Charm, Close
+from repro import AClose, Apriori, Charm, Close, TransactionDatabase
 from repro.algorithms.rule_generation import generate_all_rules
 from repro.core.derivation import BasisDerivation
 from repro.core.dg_basis import build_duquenne_guigues_basis
@@ -41,6 +43,7 @@ from repro.data.synthetic import (
 )
 from repro.engine import ClosureEngine
 from repro.experiments.harness import mine_itemsets
+from repro.incremental import update_mining
 from repro.recommend import Recommender
 
 from oracles import (
@@ -512,6 +515,34 @@ def test_engine_levelwise_miners(benchmark, quest_sparse, algorithm_class):
         statistics.database_passes,
     )
     assert counters == LEVELWISE_COUNTERS[algorithm_class.__name__]
+
+
+@pytest.fixture(scope="module")
+def quest_append():
+    """The Quest input above mined at minsup 0.006, and its next 20 rows."""
+    quest = QuestGenerator(avg_transaction_size=10.0, avg_pattern_size=4.0)
+    rows = [list(row.as_frozenset()) for row in quest.generate(2020).transactions()]
+    return mine_itemsets(TransactionDatabase(rows[:2000]), 0.006), rows[2000:]
+
+
+def test_engine_incremental_update_mining(benchmark, quest_append):
+    """The incremental repair of a 20-row append, minsup 0.006.
+
+    Delta counts on the packed families, the damaged region on the
+    level-wise kernel, the generator re-derivation and the result
+    assembly; the counters pin the work done.
+    """
+    mining, batch = quest_append
+    result = benchmark(lambda: update_mining(mining, batch, damage_threshold=1.0))
+    statistics = result.statistics
+    counters = (
+        statistics.mode,
+        statistics.damaged_closed,
+        statistics.reclosed,
+        statistics.new_frequent,
+        statistics.dropped_frequent,
+    )
+    assert counters == ("incremental", 560, 561, 1, 410)
 
 
 def test_engine_batch_supports(benchmark, mushroom):

@@ -1,7 +1,7 @@
 """Mining algorithms: Apriori (baseline), Close, A-Close and CHARM."""
 
 from .aclose import AClose
-from .apriori import Apriori, apriori_candidates
+from .apriori import Apriori
 from .base import MiningAlgorithm, MiningRun, MiningStatistics
 from .charm import Charm
 from .close import Close
@@ -16,7 +16,6 @@ __all__ = [
     "MiningRun",
     "MiningStatistics",
     "Apriori",
-    "apriori_candidates",
     "Close",
     "AClose",
     "Charm",

@@ -26,38 +26,11 @@ import numpy as np
 
 from ..core.families import ItemsetFamily
 from ..core.itemset import Itemset
-from ..core.rulearrays import sorted_universe
 from ..data.context import TransactionDatabase
-from ..errors import InvalidParameterError
 from .base import MiningAlgorithm, MiningStatistics
 from .levelwise import ItemOrder, join_level
 
-__all__ = ["Apriori", "apriori_candidates"]
-
-
-def apriori_candidates(level: list[Itemset]) -> list[Itemset]:
-    """Generate the candidate ``(k+1)``-itemsets from frequent ``k``-itemsets.
-
-    Two ``k``-itemsets are joined when they share their first ``k - 1``
-    items (in canonical order); the resulting candidate is kept only if all
-    of its ``k``-subsets belong to *level* (the classical Apriori pruning).
-    The candidates come back in canonical order.
-
-    A thin wrapper over :func:`~repro.algorithms.levelwise.join_level`,
-    the kernel the miners run on, for callers that hold itemsets.
-    """
-    members = set(level)
-    sizes = {len(member) for member in members}
-    if len(sizes) > 1:
-        raise InvalidParameterError("a candidate level holds itemsets of one size")
-    universe = sorted_universe(item for member in members for item in member)
-    rank = {item: r for r, item in enumerate(universe)}
-    rows = np.array(
-        [sorted(rank[item] for item in member) for member in members], dtype=np.intp
-    ).reshape(len(members), sizes.pop() if sizes else 0)
-    rows = rows[np.lexsort(rows.T[::-1])] if rows.size else rows
-    candidates, _ = join_level(rows)
-    return [Itemset([universe[r] for r in row]) for row in candidates.tolist()]
+__all__ = ["Apriori"]
 
 
 class Apriori(MiningAlgorithm):

@@ -4,7 +4,8 @@ Apriori, Close and A-Close walk the same search space: the ``(k+1)``
 candidates of a level are the joins of two ``k``-itemsets that share
 their first ``k - 1`` items, kept only when every ``k``-subset is in the
 level (Agrawal & Srikant, VLDB 1994).  This module runs that join and
-prune for all three.
+prune for all three, and for the incremental repair's damaged region
+(:mod:`repro.incremental.update`).
 
 A *level* is an ``(m × k)`` integer array of item **ranks**, the item
 positions in the canonical ascending order of

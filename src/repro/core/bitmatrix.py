@@ -382,25 +382,6 @@ class BitMatrix:
             reach[nonempty] = np.bitwise_or.reduceat(gathered, offsets, axis=0)
         return reach
 
-    def _gather_or_blocks(self, other: "BitMatrix"):
-        """Yield ``(start, stop, reach_words)`` blocks of ``self @ other``.
-
-        Row ``i`` of the boolean product is the OR of the rows of *other*
-        selected by the set bits of row ``i`` of *self*; each yielded
-        block carries that OR-reduction (``(stop - start, other.n_words)``
-        uint64) for a bounded slice of rows.  Block sizes are adaptive so
-        that neither the unpacked selector rows nor the gathered operand
-        rows exceed the working-set budget.
-        """
-        if self.n_cols != other.n_rows:
-            raise ValueError(
-                f"cannot multiply {self.shape} by {other.shape}: inner "
-                "dimensions differ"
-            )
-        counts = self.row_counts()
-        for start, stop in self._gather_or_bounds(counts, other):
-            yield start, stop, self._gather_or_reach(other, counts, start, stop)
-
     def bool_matmul(
         self, other: "BitMatrix", executor: "KernelExecutor | None" = None
     ) -> "BitMatrix":

@@ -151,17 +151,6 @@ class IcebergLattice:
         """The item universe of the member masks, in canonical bit order."""
         return self._universe
 
-    def member_masks(self) -> np.ndarray:
-        """Packed uint64 item-mask rows aligned with :attr:`members`.
-
-        Bit ``i`` (little-endian across the words) of row ``r`` is set iff
-        ``members[r]`` contains ``item_universe[i]`` — the layout shared
-        with :class:`~repro.core.bitmatrix.BitMatrix` and the engine
-        bitsets.  Read-only view; the array-native basis constructions
-        gather their rule masks from it.
-        """
-        return self._masks
-
     def hasse_edge_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Hasse edges as ``(smaller, larger)`` index arrays into members."""
         return self._hasse_rows, self._hasse_cols

@@ -230,13 +230,3 @@ def get_executor(workers: int | None = None) -> KernelExecutor:
             executor = KernelExecutor(count)
             _EXECUTORS[count] = executor
         return executor
-
-
-def _reset_executors() -> None:
-    """Drop the executor cache (test isolation helper, not public API)."""
-    with _EXECUTORS_LOCK:
-        for executor in _EXECUTORS.values():
-            backend = executor._backend
-            if isinstance(backend, _ThreadBackend):
-                backend._pool.shutdown(wait=False)
-        _EXECUTORS.clear()

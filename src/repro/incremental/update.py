@@ -12,21 +12,30 @@ Call an itemset ``X`` **damaged** when it is contained in some *changed*
 row (appended or removed).  Damage is downward closed, and an undamaged
 ``X`` keeps both its support and its closure: no changed row contains
 ``X``, so its cover gains/loses nothing, and if the old closure ``h(X)``
-were contained in a changed row then ``X ⊆ h(X)`` would be too.  The
-repair therefore only re-evaluates the damaged part of each artifact:
+were contained in a changed row then ``X ⊆ h(X)`` would be too.  This is
+FUP's premise (Cheung, Han, Ng, Wong, ICDE 1996); the repair therefore
+only re-evaluates the damaged part of each artifact:
 
-* **supports** — for every old frequent member, the appended/removed
-  covers are counted with one packed-word containment pass per changed
-  row (vectorised over members), giving ``support' = support + add −
-  del`` without touching the engine;
-* **new frequent itemsets** — any itemset newly reaching the threshold
-  must occur in an appended row (its support could not have risen
-  otherwise), so candidate discovery runs level-wise from the appended
-  rows only, seeded by the add-damaged survivors;
-* **closed itemsets** — undamaged closed members survive verbatim;
-  the closures of the damaged frequent itemsets are recomputed in one
-  batch on the extended context's (warm-started) engine — exactly the
-  closed sets whose extents intersect the appended objects;
+* **damage and delta counts** — the appended and removed covers of every
+  old frequent member are counted on the family's cached
+  :meth:`~repro.core.families.ItemsetFamily.packed` rows, one packed-word
+  containment pass per changed row (vectorised over members), giving the
+  damaged members and ``support' = support + add − del`` without touching
+  the engine;
+* **the damaged region** — the frequent itemsets of the extended context
+  that lie inside a changed row are mined with the miners' level-wise
+  kernel (:mod:`repro.algorithms.levelwise`) on the extended context's
+  engine.  Level 1 is the changed rows' items; each level is one
+  ``evaluate_level(..., close_at=threshold)`` batch, which gives the
+  supports and the closures together; the next level is the
+  ``join_level`` of the rows that stayed frequent, kept where a changed
+  row contains them.  The region is the damaged members that stay
+  frequent plus every newcomer: an itemset newly reaching the threshold
+  occurs in an appended row (its support could not have risen
+  otherwise);
+* **closed itemsets** — undamaged closed members survive verbatim; the
+  closures of the damaged region are exactly the closed sets whose
+  extents meet a changed object;
 * **generators** — Close's recorded generators are exactly the frequent
   singletons (full-support ones recorded as ``∅``) plus the larger
   itemsets whose immediate subsets all have strictly larger support, a
@@ -40,23 +49,24 @@ construction, just slower.  ``verify="oracle"`` additionally asserts
 every repaired artifact equal to a from-scratch mine of the extended
 context (the oracle pattern used throughout this repository), and an
 always-on internal check compares the delta-counted supports of the
-damaged itemsets with the engine's counts.
+damaged members with the kernel's counts.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from itertools import compress
 
 import numpy as np
 
-from ..algorithms.apriori import apriori_candidates
 from ..algorithms.base import MiningRun, MiningStatistics
-from ..core.families import ClosedItemsetFamily, ItemsetFamily
+from ..algorithms.levelwise import ItemOrder, decode_packed, join_level
+from ..core.bitmatrix import BitMatrix
+from ..core.families import ClosedItemsetFamily, ItemsetFamily, PackedFamily
 from ..core.itemset import Item, Itemset
 from ..core.lattice import IcebergLattice
-from ..core.rulearrays import pack_itemset_words, pack_itemsets_into, sorted_universe
 from ..data.context import TransactionDatabase
 from ..errors import InvalidParameterError, OracleMismatchError
 from ..experiments.harness import ItemsetMiningResult, mine_itemsets
@@ -93,19 +103,7 @@ class UpdateStatistics:
 
     def as_dict(self) -> dict:
         """The statistics as a JSON-ready mapping."""
-        return {
-            "mode": self.mode,
-            "fallback_reason": self.fallback_reason,
-            "n_appended": self.n_appended,
-            "n_removed": self.n_removed,
-            "old_closed": self.old_closed,
-            "damaged_closed": self.damaged_closed,
-            "damage_ratio": self.damage_ratio,
-            "reclosed": self.reclosed,
-            "new_frequent": self.new_frequent,
-            "dropped_frequent": self.dropped_frequent,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -126,19 +124,62 @@ class IncrementalUpdateResult:
 def _fresh_statistics(
     stats: "UpdateStatistics", started: float
 ) -> UpdateStatistics:
-    return UpdateStatistics(
-        mode=stats.mode,
-        fallback_reason=stats.fallback_reason,
-        n_appended=stats.n_appended,
-        n_removed=stats.n_removed,
-        old_closed=stats.old_closed,
-        damaged_closed=stats.damaged_closed,
-        damage_ratio=stats.damage_ratio,
-        reclosed=stats.reclosed,
-        new_frequent=stats.new_frequent,
-        dropped_frequent=stats.dropped_frequent,
-        wall_clock_seconds=time.perf_counter() - started,
+    return replace(stats, wall_clock_seconds=time.perf_counter() - started)
+
+
+def _containing_rows(packed: PackedFamily, rows: np.ndarray, column: dict) -> np.ndarray:
+    """How many of *rows* contain each member of *packed*.
+
+    *rows* is a bool matrix over the extended context's columns and
+    *column* maps an item to its column.  One packed-word containment
+    pass per row, vectorised over the members.
+    """
+    words = packed.matrix.words
+    counts = np.zeros(len(words), dtype=np.int64)
+    if len(rows) and len(words):
+        masks = BitMatrix.from_dense(rows[:, [column[item] for item in packed.universe]])
+        for mask in masks.words:
+            counts += ~np.any(words & ~mask, axis=1)
+    return counts
+
+
+def _damaged_region(
+    database: TransactionDatabase, changed: np.ndarray, threshold: int
+) -> tuple[list[Itemset], np.ndarray, list[Itemset], int]:
+    """The itemsets of *database* reaching *threshold* inside a *changed* row.
+
+    Returns ``(itemsets, supports, closures, candidates)``: the itemsets
+    in canonical order, their supports and closures, and how many
+    candidates the kernel evaluated.  *changed* is a bool matrix over
+    the database's columns.
+    """
+    engine = database.engine()
+    order = ItemOrder(database)
+    level = np.sort(order.ranks[np.flatnonzero(changed.any(axis=0))])[:, None]
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    evaluated = 0
+    while len(level):
+        evaluated += len(level)
+        counts, closures = engine.evaluate_level(order.columns[level], close_at=threshold)
+        frequent = counts >= threshold
+        level = level[frequent]
+        found.append((level, counts[frequent], closures))
+        # Damage is downward closed: a candidate outside every changed
+        # row is not in the region, whatever its support.
+        candidates, _ = join_level(level)
+        columns = order.columns[candidates]
+        inside = np.zeros(len(candidates), dtype=bool)
+        for row in changed:
+            inside |= row[columns].all(axis=1)
+        level = candidates[inside]
+    if not found:
+        return [], np.zeros(0, dtype=np.int64), [], 0
+    itemsets = [itemset for level, _, _ in found for itemset in order.itemsets(level)]
+    supports = np.concatenate([counts for _, counts, _ in found])
+    closures = decode_packed(
+        np.concatenate([closures for _, _, closures in found]), order.items
     )
+    return itemsets, supports, closures, evaluated
 
 
 def update_mining(
@@ -165,7 +206,7 @@ def update_mining(
         Number of *oldest* objects evicted before appending (the sliding
         window's eviction pattern).  ``0`` means pure append, in which
         case the extended context shares the base context's packed
-        relation prefix and warm engine views.
+        relation prefix, and its engine's packed views when it has one.
     damage_threshold:
         Fall back to a full re-mine when more than this fraction of the
         old closed family is damaged (contained in a changed row); the
@@ -205,9 +246,6 @@ def update_mining(
     batch_rows = [frozenset(t) for t in batch]
     minsup = mining.minsup
 
-    # Warm the old engine first so the extension inherits its packed
-    # views, then build the extended context.
-    old_engine = old_db.engine()
     if removed_count == 0:
         new_db = old_db.extended(batch_rows)
     else:
@@ -221,19 +259,17 @@ def update_mining(
             name=old_db.name,
         )
 
-    added = [Itemset(row) for row in batch_rows]
-    removed = list(old_db.transactions()[:removed_count])
+    frequent = mining.frequent
     old_closed = mining.closed
-    closed_members = old_closed.itemsets()
 
     def fallback(reason: str, damaged: int = 0, ratio: float = 0.0):
         fresh = mine_itemsets(new_db, minsup)
         stats = UpdateStatistics(
             mode="remine",
             fallback_reason=reason,
-            n_appended=len(added),
-            n_removed=len(removed),
-            old_closed=len(closed_members),
+            n_appended=len(batch_rows),
+            n_removed=removed_count,
+            old_closed=len(old_closed),
             damaged_closed=damaged,
             damage_ratio=ratio,
             reclosed=0,
@@ -246,46 +282,32 @@ def update_mining(
 
     if new_db.n_objects < old_db.n_objects:
         return fallback("context shrank (more objects removed than appended)")
-    thresh_old = mining.frequent.minsup_count
     thresh_new = new_db.minsup_count(minsup)
-    if thresh_new < thresh_old:
+    if thresh_new < frequent.minsup_count:
         return fallback("absolute support threshold dropped")
-
-    old_supports = mining.frequent.to_dict()
-    members = mining.frequent.itemsets()
-    member_index = {member: i for i, member in enumerate(members)}
-    if any(member not in member_index for member in closed_members):
+    if not all(member in frequent for member in old_closed):
         # A size-capped Apriori run: the repair needs the complete
         # frequent family as its survivor base.
         return fallback("old frequent family is incomplete")
-    if closed_members and not mining.generators_by_closure:
+    if len(old_closed) and not mining.generators_by_closure:
         return fallback("old result carries no generator records")
 
     # ------------------------------------------------------------------
-    # Delta counts of the old frequent members (one packed containment
-    # pass per changed row, vectorised over members).
+    # Damage and delta counts on the families' packed rows.  The changed
+    # rows are over the extended context's columns, of which the old
+    # context's are a prefix.
     # ------------------------------------------------------------------
-    add_counts = np.zeros(len(members), dtype=np.int64)
-    del_counts = np.zeros(len(members), dtype=np.int64)
-    changed = added + removed
-    if members and changed:
-        universe = sorted_universe(
-            item for group in (members, changed) for itemset in group
-            for item in itemset
-        )
-        packed = pack_itemsets_into(members, universe)
-        words = packed.words
-        position = {item: i for i, item in enumerate(universe)}
-        for counts, rows in ((add_counts, added), (del_counts, removed)):
-            for row in rows:
-                row_words = pack_itemset_words(row, position, packed.n_words)
-                counts += ~np.any(words & ~row_words, axis=1)
-    damaged_flags = (add_counts > 0) | (del_counts > 0)
+    n_new = new_db.n_objects
+    appended = new_db.matrix[n_new - len(batch_rows):]
+    removed = np.zeros((removed_count, new_db.n_items), dtype=bool)
+    removed[:, : old_db.n_items] = old_db.matrix[:removed_count]
+    changed = np.concatenate([appended, removed])
+    column = {item: c for c, item in enumerate(new_db.items)}
 
-    damaged_closed = sum(
-        1 for member in closed_members if damaged_flags[member_index[member]]
-    )
-    damage_ratio = damaged_closed / len(closed_members) if closed_members else 0.0
+    closed_packed = old_closed.packed()
+    closed_damaged = _containing_rows(closed_packed, changed, column) > 0
+    damaged_closed = int(closed_damaged.sum())
+    damage_ratio = damaged_closed / len(old_closed) if len(old_closed) else 0.0
     if damage_ratio > damage_threshold:
         return fallback(
             f"damage ratio {damage_ratio:.3f} exceeds threshold "
@@ -294,122 +316,67 @@ def update_mining(
             ratio=damage_ratio,
         )
 
+    packed = frequent.packed()
+    add_counts = _containing_rows(packed, appended, column)
+    del_counts = _containing_rows(packed, removed, column)
+    delta_supports = packed.counts + add_counts - del_counts
+    survives = delta_supports >= thresh_new
+    damaged = (add_counts > 0) | (del_counts > 0)
+    damaged_survivors = np.flatnonzero(damaged & survives)
+
     # ------------------------------------------------------------------
-    # Frequent family: survivors by delta arithmetic, newcomers by a
-    # level-wise scan seeded from the appended rows.
+    # The damaged region, mined level-wise on the extended engine: its
+    # old members must agree with their delta-counted supports, and the
+    # rest are the newcomers.
     # ------------------------------------------------------------------
-    new_supports: dict[Itemset, int] = {}
-    dropped_frequent = 0
-    for i, member in enumerate(members):
-        support = old_supports[member] + int(add_counts[i]) - int(del_counts[i])
-        if support >= thresh_new:
-            new_supports[member] = support
-        else:
-            dropped_frequent += 1
-
-    old_item_set = set(old_db.items)
-
-    def admit(candidates: list[Itemset]) -> list[Itemset]:
-        """Keep the candidates that are frequent in the extended context.
-
-        A newcomer's support is its (old-engine-counted) base support
-        plus the appended-cover count minus the removed-cover count; a
-        candidate absent from every appended row cannot have gained
-        support and is pruned outright.
-        """
-        in_old = [
-            c for c in candidates if all(item in old_item_set for item in c)
-        ]
-        base = dict(zip(in_old, old_engine.supports(in_old))) if in_old else {}
-        kept: list[Itemset] = []
-        for candidate in candidates:
-            adds = sum(1 for row in added if candidate.issubset(row))
-            if adds == 0:
-                continue
-            dels = sum(1 for row in removed if candidate.issubset(row))
-            support = base.get(candidate, 0) + adds - dels
-            if support >= thresh_new:
-                new_supports[candidate] = support
-                kept.append(candidate)
-        return kept
-
-    old_add_damaged_by_size: dict[int, list[Itemset]] = {}
-    for i, member in enumerate(members):
-        if add_counts[i] > 0 and member in new_supports:
-            old_add_damaged_by_size.setdefault(len(member), []).append(member)
-
-    batch_items: set = set()
-    for row in added:
-        batch_items.update(row)
-    level_candidates = sorted(
-        singleton
-        for singleton in (Itemset([item]) for item in batch_items)
-        if singleton not in old_supports
+    region, region_supports, region_closures, evaluated = _damaged_region(
+        new_db, changed, thresh_new
     )
-    new_by_size: dict[int, list[Itemset]] = {1: admit(level_candidates)}
-    candidates_evaluated = len(level_candidates)
-    size = 2
-    while True:
-        join_base = old_add_damaged_by_size.get(size - 1, []) + new_by_size.get(
-            size - 1, []
+    in_old = np.array([itemset in frequent for itemset in region], dtype=bool)
+    expected = [packed.members[i] for i in damaged_survivors.tolist()]
+    if list(compress(region, in_old)) != expected or not np.array_equal(
+        region_supports[in_old], delta_supports[damaged_survivors]
+    ):
+        raise OracleMismatchError(
+            "delta-counted supports of the damaged frequent itemsets disagree "
+            "with the engine counts"
         )
-        if not join_base:
-            break
-        fresh_candidates = [
-            candidate
-            for candidate in apriori_candidates(join_base)
-            if candidate not in old_supports and candidate not in new_supports
-        ]
-        candidates_evaluated += len(fresh_candidates)
-        new_by_size[size] = admit(fresh_candidates)
-        size += 1
-    new_members = [m for level in new_by_size.values() for m in level]
+
+    new_supports: dict[Itemset, int] = dict(
+        zip(compress(packed.members, survives), delta_supports[survives].tolist())
+    )
+    newcomers = ~in_old
+    new_supports.update(
+        zip(compress(region, newcomers), region_supports[newcomers].tolist())
+    )
     frequent_new = ItemsetFamily(
         new_supports, new_db.n_objects, minsup_count=thresh_new
     )
 
     # ------------------------------------------------------------------
-    # Closed family: undamaged members survive verbatim; the damaged
-    # frequent itemsets are re-closed in one batch on the new engine.
+    # Closed family: undamaged members survive verbatim; the closures of
+    # the damaged region come with it.
     # ------------------------------------------------------------------
-    damaged_frequent = sorted(
-        [
-            member
-            for i, member in enumerate(members)
-            if damaged_flags[i] and member in new_supports
-        ]
-        + new_members
+    kept = ~closed_damaged & (closed_packed.counts >= thresh_new)
+    closed_supports: dict[Itemset, int] = dict(
+        zip(compress(closed_packed.members, kept), closed_packed.counts[kept].tolist())
     )
-    new_engine = new_db.engine()
-    closure_pairs = new_engine.closures_and_supports(damaged_frequent)
-    closure_map: dict[Itemset, Itemset] = {}
-    closed_supports: dict[Itemset, int] = {}
-    for member in closed_members:
-        if not damaged_flags[member_index[member]] and member in new_supports:
-            closed_supports[member] = new_supports[member]
-    for itemset, (closure, count) in zip(damaged_frequent, closure_pairs):
-        if count != new_supports[itemset]:
-            raise OracleMismatchError(
-                f"delta-counted support {new_supports[itemset]} of {itemset} "
-                f"disagrees with the engine count {count}"
-            )
-        closure_map[itemset] = closure
-        closed_supports[closure] = count
+    closure_map = dict(zip(region, region_closures))
+    closed_supports.update(zip(region_closures, region_supports.tolist()))
     closed_new = ClosedItemsetFamily(
         closed_supports, new_db.n_objects, minsup_count=thresh_new
     )
 
     # ------------------------------------------------------------------
     # Generators: re-derive Close's recorded entries from the repaired
-    # support table; closures come from the batch above (damaged) or the
-    # old records (undamaged — their closure is unchanged).
+    # support table; closures come from the region (damaged) or the old
+    # records (undamaged — their closure is unchanged).
     # ------------------------------------------------------------------
     old_generator_closure: dict[Itemset, Itemset] = {}
     for closure, generators in mining.generators_by_closure.items():
         for generator in generators:
             if len(generator):
                 old_generator_closure[generator] = closure
-    n_new = new_db.n_objects
     grouped: dict[Itemset, set[Itemset]] = {}
     for itemset, support in new_supports.items():
         if len(itemset) == 1:
@@ -442,7 +409,7 @@ def update_mining(
         family=frequent_new,
         statistics=MiningStatistics(
             database_passes=1,
-            candidates_generated=candidates_evaluated,
+            candidates_generated=evaluated,
             itemsets_found=len(frequent_new),
             levels=levels,
         ),
@@ -454,7 +421,7 @@ def update_mining(
         family=closed_new,
         statistics=MiningStatistics(
             database_passes=1,
-            candidates_generated=len(damaged_frequent),
+            candidates_generated=len(region),
             itemsets_found=len(closed_new),
             levels=levels,
         ),
@@ -477,14 +444,14 @@ def update_mining(
     stats = UpdateStatistics(
         mode="incremental",
         fallback_reason=None,
-        n_appended=len(added),
-        n_removed=len(removed),
-        old_closed=len(closed_members),
+        n_appended=len(batch_rows),
+        n_removed=removed_count,
+        old_closed=len(old_closed),
         damaged_closed=damaged_closed,
         damage_ratio=damage_ratio,
-        reclosed=len(damaged_frequent),
-        new_frequent=len(new_members),
-        dropped_frequent=dropped_frequent,
+        reclosed=len(region),
+        new_frequent=int(newcomers.sum()),
+        dropped_frequent=len(packed.members) - int(survives.sum()),
     )
     return IncrementalUpdateResult(
         mining=mining_new,

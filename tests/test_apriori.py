@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from repro import Apriori, TransactionDatabase
-from repro.algorithms.apriori import apriori_candidates
+from repro.algorithms.levelwise import join_level
 from repro.core.itemset import Itemset
+from repro.core.rulearrays import sorted_universe
 from repro.errors import InvalidParameterError
 
 from oracles import apriori_candidates_reference
@@ -29,34 +31,46 @@ def brute_force_frequent(db: TransactionDatabase, minsup: float) -> dict[Itemset
     return result
 
 
+def join_itemsets(level: list[Itemset]) -> list[Itemset]:
+    """``join_level`` on the sorted rank rows of *level*, decoded back."""
+    universe = sorted_universe(item for itemset in level for item in itemset)
+    rank = {item: r for r, item in enumerate(universe)}
+    size = len(level[0]) if level else 1
+    rows = sorted(sorted(rank[item] for item in itemset) for itemset in level)
+    candidates, _ = join_level(np.array(rows, dtype=np.intp).reshape(len(rows), size))
+    return [Itemset([universe[r] for r in row]) for row in candidates.tolist()]
+
+
+def ranks(*rows) -> np.ndarray:
+    return np.array(rows, dtype=np.intp)
+
+
 class TestCandidateGeneration:
     def test_joins_itemsets_sharing_prefix(self):
-        level = [Itemset("ab"), Itemset("ac"), Itemset("bc")]
-        assert apriori_candidates(level) == [Itemset("abc")]
+        # ab, ac, bc as ranks a=0, b=1, c=2
+        candidates, subsets = join_level(ranks([0, 1], [0, 2], [1, 2]))
+        assert candidates.tolist() == [[0, 1, 2]]
+        # abc without a, b, c: rows bc, ac, ab
+        assert subsets.tolist() == [[2, 1, 0]]
 
     def test_prunes_candidates_with_infrequent_subset(self):
         # {a,b,c} requires {b,c} to be present.
-        level = [Itemset("ab"), Itemset("ac")]
-        assert apriori_candidates(level) == []
+        candidates, subsets = join_level(ranks([0, 1], [0, 2]))
+        assert candidates.shape == (0, 3)
+        assert subsets.shape == (0, 3)
 
     def test_singletons_join_into_pairs(self):
-        level = [Itemset("a"), Itemset("b"), Itemset("c")]
-        assert apriori_candidates(level) == [
-            Itemset("ab"),
-            Itemset("ac"),
-            Itemset("bc"),
-        ]
+        candidates, _ = join_level(ranks([0], [1], [2]))
+        assert candidates.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_empty_level(self):
-        assert apriori_candidates([]) == []
+        candidates, _ = join_level(np.zeros((0, 2), dtype=np.intp))
+        assert candidates.shape == (0, 3)
 
     def test_unsorted_level_with_integer_items(self):
+        # Ranks follow the numeric item order: 1 < 2 < 10.
         level = [Itemset([2, 10]), Itemset([1, 10]), Itemset([1, 2])]
-        assert apriori_candidates(level) == [Itemset([1, 2, 10])]
-
-    def test_mixed_sizes_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            apriori_candidates([Itemset("a"), Itemset("bc")])
+        assert join_itemsets(level) == [Itemset([1, 2, 10])]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_itemset_join(self, seed):
@@ -64,7 +78,7 @@ class TestCandidateGeneration:
         size = rng.randint(1, 4)
         pool = [f"i{n}" for n in range(rng.randint(size, 9))]
         level = list({Itemset(rng.sample(pool, size)) for _ in range(rng.randint(0, 40))})
-        assert apriori_candidates(level) == apriori_candidates_reference(level)
+        assert join_itemsets(level) == apriori_candidates_reference(level)
 
 
 class TestApriori:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.families import ClosedItemsetFamily
 from repro.core.itemset import Itemset
 from repro.core.lattice import IcebergLattice
 from repro.data.context import TransactionDatabase
@@ -230,8 +229,9 @@ class TestUpdateMining:
         assert payload["n_appended"] == 1
         assert payload["wall_clock_seconds"] >= 0.0
 
-    def test_oracle_mismatch_is_raised_on_corrupted_input(self, toy_db):
-        """A stale mining result (wrong supports) must not verify."""
+    @staticmethod
+    def stale_supports(toy_db):
+        """The toy mining result with every frequent support off by one."""
         mining = mine_itemsets(toy_db, 0.4)
         doctored = {
             itemset: count + 1
@@ -241,7 +241,7 @@ class TestUpdateMining:
         from repro.core.families import ItemsetFamily
         from repro.experiments.harness import ItemsetMiningResult
 
-        broken = ItemsetMiningResult(
+        return ItemsetMiningResult(
             database=toy_db,
             minsup=0.4,
             apriori_run=MiningRun(
@@ -256,10 +256,21 @@ class TestUpdateMining:
             close_run=mining.close_run,
             generators_by_closure=mining.generators_by_closure,
         )
+
+    def test_oracle_mismatch_is_raised_on_corrupted_input(self, toy_db):
+        """A stale mining result (wrong supports) must not verify."""
         with pytest.raises(OracleMismatchError):
             update_mining(
-                broken, [["a", "c"]], damage_threshold=1.0, verify="oracle"
+                self.stale_supports(toy_db),
+                [["a", "c"]],
+                damage_threshold=1.0,
+                verify="oracle",
             )
+
+    def test_delta_count_check_runs_without_the_oracle(self, toy_db):
+        """The damaged region's kernel counts catch stale supports."""
+        with pytest.raises(OracleMismatchError, match="delta-counted"):
+            update_mining(self.stale_supports(toy_db), [["a", "c"]], damage_threshold=1.0)
 
 
 # ----------------------------------------------------------------------

@@ -10,14 +10,21 @@ family, generator map or lattice edge disagrees with the oracle — so
 every property here is "the update runs and nothing raises", plus a few
 explicit cross-checks on the fly.
 
-The dedicated 63/64/65-item cases pin the packed-word boundary: one
-uint64 word exactly full, one item short and one item over.
+Two case families stress the kernel's item order: batch items that sort
+before and between the base items (``extended()`` appends their columns
+after the old ones, out of canonical order), and an item in every row
+(``h(∅) ≠ ∅``, recorded by Close as the ``∅`` generator).  The dedicated
+63/64/65-item cases pin the packed-word boundary: one uint64 word
+exactly full, one item short and one item over.  The repair reads no
+closure cache: both contexts' engines end it with no hit and no miss.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.itemset import Itemset
 from repro.core.lattice import IcebergLattice
 from repro.data.context import TransactionDatabase
 from repro.experiments.harness import mine_itemsets
@@ -36,22 +43,31 @@ def rows_strategy(pool, min_rows, max_rows):
     )
 
 
+# Batch items sorting before and between the base items.
+INTERLEAVED_BASE = ["b", "d", "f", "h"]
+INTERLEAVED_BATCH = INTERLEAVED_BASE + ["a", "c", "e", "g"]
+# An item of every base and batch row.
+EVERYWHERE = "z"
+
+
 @st.composite
-def update_cases(draw):
-    base = draw(rows_strategy(BASE_POOL, 1, 8))
-    batch = draw(rows_strategy(BATCH_POOL, 0, 4))
+def update_cases(draw, base_pool=BASE_POOL, batch_pool=BATCH_POOL, everywhere=None):
+    base = draw(rows_strategy(base_pool, 1, 8))
+    batch = draw(rows_strategy(batch_pool, 0, 4))
+    if everywhere is not None:
+        base = [row | {everywhere} for row in base]
+        batch = [row | {everywhere} for row in batch]
     minsup = draw(st.sampled_from([0.1, 0.25, 0.5]))
     # cap the eviction at the batch size so the context never shrinks
     # (a shrinking context is a documented fallback, tested separately)
     removed = draw(st.integers(0, min(len(base) - 1, len(batch))))
-    return base, batch, minsup, removed
+    return base, batch, minsup, removed, base_pool
 
 
-@settings(max_examples=60, deadline=None)
-@given(update_cases())
-def test_repaired_artifacts_equal_fresh_mine(case):
-    base, batch, minsup, removed = case
-    db = TransactionDatabase(base, item_order=BASE_POOL)
+def repair_against_oracle(case):
+    """Run the repair on *case* with the oracle check on; return the result."""
+    base, batch, minsup, removed, item_order = case
+    db = TransactionDatabase(base, item_order=item_order)
     mining = mine_itemsets(db, minsup)
     result = update_mining(
         mining,
@@ -68,13 +84,57 @@ def test_repaired_artifacts_equal_fresh_mine(case):
     assert result.mining.generator_family.closed_family is result.mining.closed
     if result.lattice is not None:
         assert result.lattice.closed_family is result.mining.closed
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(update_cases())
+def test_repaired_artifacts_equal_fresh_mine(case):
+    repair_against_oracle(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(update_cases(INTERLEAVED_BASE, INTERLEAVED_BATCH))
+def test_batch_items_out_of_canonical_column_order(case):
+    result = repair_against_oracle(case)
+    items = result.mining.database.items
+    if len(items) > len(INTERLEAVED_BASE):
+        assert list(items) != sorted(items)
+
+
+@settings(max_examples=40, deadline=None)
+@given(update_cases(everywhere=EVERYWHERE))
+def test_item_in_every_row(case):
+    result = repair_against_oracle(case)
+    rows = result.mining.database.transactions()
+    bottom = Itemset(frozenset.intersection(*(row.as_frozenset() for row in rows)))
+    assert EVERYWHERE in bottom and bottom in result.mining.closed
+    assert Itemset.empty() in result.mining.generators_by_closure[bottom]
+
+
+@pytest.mark.parametrize("removed", [0, 2])
+def test_update_leaves_closure_caches_untouched(toy_transactions, removed):
+    db = TransactionDatabase(toy_transactions)
+    mining = mine_itemsets(db, 0.4)
+    result = update_mining(
+        mining,
+        [list("abce"), list("bcf")],
+        removed_count=removed,
+        damage_threshold=1.0,
+        verify="oracle",
+        lattice=IcebergLattice(mining.closed),
+    )
+    assert result.statistics.mode == "incremental"
+    for database in (db, result.mining.database):
+        info = database.engine().cache_info()
+        assert (info.hits, info.misses) == (0, 0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(update_cases())
 def test_repaired_bases_equal_fresh_bases(case):
-    base, batch, minsup, _ = case
-    db = TransactionDatabase(base, item_order=BASE_POOL)
+    base, batch, minsup, _, item_order = case
+    db = TransactionDatabase(base, item_order=item_order)
     result = update_mining(
         mine_itemsets(db, minsup), batch, damage_threshold=1.0, verify="oracle"
     )

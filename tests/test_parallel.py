@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import TransactionDatabase
 from repro.bases.registry import registered_names
 from repro.core.bitmatrix import BitMatrix, packed_containment
 from repro.core.families import ClosedItemsetFamily
