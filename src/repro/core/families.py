@@ -346,22 +346,18 @@ class ClosedItemsetFamily(ItemsetFamily):
     def bottom_closure(self) -> Itemset:
         """Return ``h(∅)``, the unique minimal closed itemset of the context.
 
-        ``h(∅)`` is the set of items present in *every* object.  The mining
-        algorithms never list it explicitly unless it is the closure of some
-        single item, but it is recoverable from the family alone: an item
-        belongs to ``h(∅)`` iff its (inferred) support equals the number of
-        objects.  The Duquenne-Guigues construction needs this value to
-        decide whether the empty itemset is pseudo-closed.
+        ``h(∅)`` is the set of items present in *every* object.  When it is
+        not empty it is the closure of each of those items, so the mining
+        algorithms list it: it is the one member whose support is the
+        number of objects.  When no member has that support, ``h(∅) = ∅``.
+        The Duquenne-Guigues construction needs this value to decide
+        whether the empty itemset is pseudo-closed.
         """
-        universe: set = set()
-        for member in self._supports:
-            universe.update(member.as_frozenset())
-        bottom_items = [
-            item
-            for item in universe
-            if self.inferred_support_count(Itemset.of(item)) == self._n_objects
-        ]
-        return Itemset(bottom_items)
+        n_objects = self._n_objects
+        return next(
+            (member for member, count in self._supports.items() if count == n_objects),
+            Itemset.empty(),
+        )
 
     def inferred_support_count(self, itemset: Itemset | Iterable[Item]) -> int | None:
         """Support of an arbitrary frequent itemset, inferred from the family.

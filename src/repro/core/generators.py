@@ -157,14 +157,17 @@ class GeneratorFamily:
             from .rulearrays import pack_itemsets_into
 
             closed = self._closed_family.packed()
+            # Every recorded closure is a member, so walking the canonical
+            # rows meets the closures in canonical order: one dict lookup
+            # per row and no itemset comparison.
             pairs = [
-                (closure, generator)
-                for closure in self.closed_itemsets()
-                for generator in self.generators_of(closure)
+                (row, generator)
+                for row, closure in enumerate(closed.members)
+                for generator in self._mapping.get(closure, ())
             ]
             members = [generator for _, generator in pairs]
             matrix = pack_itemsets_into(members, closed.universe)
-            closure_rows = closed.rows_of(closure for closure, _ in pairs)
+            closure_rows = np.array([row for row, _ in pairs], dtype=np.int64)
             counts = closed.counts[closure_rows]
             for array in (matrix.words, closure_rows, counts):
                 array.setflags(write=False)

@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         "mined artifacts incrementally",
         description="Extend a stored context with a basket-file batch and "
         "delta-maintain the mined artifacts: only itemsets contained in a "
-        "changed row are re-evaluated, the lattice order core is repaired "
-        "edge-locally, the stored bases are rebuilt and the store is "
+        "changed row are re-evaluated, the lattice and the stored bases are "
+        "rebuilt from the repaired closed family and the store is "
         "rewritten atomically (a serving daemon watching the file "
         "hot-reloads the repaired generation). Past --damage-threshold the "
         "update falls back to a full re-mine.",

@@ -5,10 +5,11 @@ here: instead of re-mining the whole context for every appended batch,
 this package extends the context in place-preserving fashion
 (:meth:`~repro.data.context.TransactionDatabase.extended` shares the
 packed relation prefix and warm engine view) and repairs the mined
-artifacts — frequent family, closed family, generators, iceberg lattice
-— by re-evaluating only the *damaged* part: the itemsets contained in a
+families — frequent family, closed family, generators — by
+re-evaluating only the *damaged* part: the itemsets contained in a
 changed row, i.e. the closed sets whose extents intersect the appended
-(or evicted) objects.
+(or evicted) objects.  The iceberg lattice and the rule bases are then
+rebuilt from the repaired closed family, exactly as after a fresh mine.
 
 Entry points
 ------------
@@ -18,13 +19,10 @@ Entry points
   re-mine, and an optional fresh-mine oracle verification.
 * :class:`~repro.incremental.window.SlidingWindow` — a capacity-bounded
   streaming window kept mined through the same core.
-* :func:`~repro.incremental.lattice.repair_lattice` — Hasse-diagram
-  repair that reuses every old edge whose neighbourhood is intact.
 * the ``repro update`` CLI verb — the same update against an on-disk
   artifact store, rewritten atomically (see ``docs/architecture.md``).
 """
 
-from .lattice import repair_lattice
 from .update import (
     IncrementalUpdateResult,
     UpdateStatistics,
@@ -36,6 +34,5 @@ __all__ = [
     "IncrementalUpdateResult",
     "SlidingWindow",
     "UpdateStatistics",
-    "repair_lattice",
     "update_mining",
 ]

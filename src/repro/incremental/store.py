@@ -1,15 +1,16 @@
 """Incremental update of an on-disk artifact store.
 
-The store-facing face of :mod:`repro.incremental`: load a ``repro
-save`` container, extend its context with a transaction batch, repair
-the mined sections through
-:func:`~repro.incremental.update.update_mining`, rebuild the stored
-rule bases on the repaired lattice, and rewrite the container.  The
-rewrite goes through :func:`repro.store.save_run`, whose
-:func:`repro.ioutils.atomic_write` temp-file/fsync/rename discipline
-means a serving daemon watching the file either keeps the old
-generation or hot-reloads the complete repaired one — never a torn
-half-write.
+The store-facing face of :mod:`repro.incremental`: load the sections of
+a ``repro save`` container that the update rebuilds from (context,
+frequent and closed families, generators), extend its context with a
+transaction batch, repair the mined families through
+:func:`~repro.incremental.update.update_mining`, build the lattice and
+the stored rule bases from the repaired closed family as ``repro save``
+does, and rewrite the container.  The rewrite goes through
+:func:`repro.store.save_run`, whose :func:`repro.ioutils.atomic_write`
+temp-file/fsync/rename discipline means a serving daemon watching the
+file either keeps the old generation or hot-reloads the complete
+repaired one — never a torn half-write.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from ..algorithms.base import MiningRun
-from ..bases.base import BasisContext
-from ..bases.registry import build_bases
 from ..core.itemset import Item
 from ..errors import InvalidParameterError
 from ..experiments.harness import (
     ItemsetMiningResult,
-    RuleArtifacts,
+    build_rule_artifacts,
     save_artifacts,
 )
 from .update import IncrementalUpdateResult, update_mining
@@ -79,9 +78,10 @@ def update_store(
 
     The store must carry the context, frequent, closed and generators
     sections (everything ``repro save`` writes by default; a
-    ``--no-context`` store cannot be extended).  The stored lattice is
-    repaired incrementally when present; the stored bases are rebuilt on
-    the repaired artifacts at the stored ``minconf``.
+    ``--no-context`` store cannot be extended); only those four are
+    read.  The lattice and the stored bases are rebuilt from the
+    repaired families at the stored ``minconf``, so the rewritten store
+    is the one a fresh ``repro save`` of the extended context writes.
 
     Parameters
     ----------
@@ -92,8 +92,11 @@ def update_store(
     window:
         Optional sliding-window capacity: the oldest objects are evicted
         so that at most this many remain after the append.
-    damage_threshold, verify, workers:
+    damage_threshold, verify:
         Forwarded to :func:`~repro.incremental.update.update_mining`.
+    workers:
+        Worker threads for the lattice and rule-emission kernels of the
+        rebuild; the written store is byte-identical for any count.
 
     Returns
     -------
@@ -102,7 +105,9 @@ def update_store(
     """
     from .. import store
 
-    stored = store.load_run(path)
+    stored = store.load_run(
+        path, sections=("context", "frequent", "closed", "generators")
+    )
     mining = _mining_from_store(stored)
     batch_rows = [frozenset(t) for t in batch]
     removed_count = 0
@@ -125,26 +130,16 @@ def update_store(
         removed_count=removed_count,
         damage_threshold=damage_threshold,
         verify=verify,
-        lattice=stored.lattice,
-        workers=workers,
     )
     artifacts = None
-    basis_names = list(stored.basis_kinds) or None
     if stored.minconf is not None:
-        context = BasisContext(
-            closed=result.mining.closed,
-            minconf=stored.minconf,
-            frequent=result.mining.frequent,
-            generators_factory=lambda: result.mining.generator_family,
-            workers=workers,
-            _lattice=result.lattice,
-        )
-        artifacts = RuleArtifacts(
-            database_name=result.mining.database.name,
-            minsup=result.mining.minsup,
-            minconf=stored.minconf,
-            bases=build_bases(context, basis_names),
-            context=context,
+        basis_names = [
+            entry["name"]
+            for entry in stored.manifest.get("bases", [])
+            if entry.get("kind")
+        ]
+        artifacts = build_rule_artifacts(
+            result.mining, stored.minconf, basis_names or None, workers=workers
         )
     written = save_artifacts(path, result.mining, artifacts, include_context=True)
     return written, result

@@ -39,8 +39,12 @@ only re-evaluates the damaged part of each artifact:
 * **generators** — Close's recorded generators are exactly the frequent
   singletons (full-support ones recorded as ``∅``) plus the larger
   itemsets whose immediate subsets all have strictly larger support, a
-  predicate the repaired support table answers by pure dict arithmetic;
-* **lattice** — see :mod:`repro.incremental.lattice`.
+  predicate the repaired support table answers by pure dict arithmetic.
+
+The iceberg lattice and the rule bases are not repaired: consumers
+build them from the repaired closed family, as after a fresh mine (the
+order core builds from the packed rows in milliseconds), so every
+lattice comes from one construction.
 
 When the update is not a pure gain (the context shrank, the absolute
 threshold dropped) or the damage ratio exceeds the configurable
@@ -66,11 +70,9 @@ from ..algorithms.levelwise import ItemOrder, decode_packed, join_level
 from ..core.bitmatrix import BitMatrix
 from ..core.families import ClosedItemsetFamily, ItemsetFamily, PackedFamily
 from ..core.itemset import Item, Itemset
-from ..core.lattice import IcebergLattice
 from ..data.context import TransactionDatabase
 from ..errors import InvalidParameterError, OracleMismatchError
 from ..experiments.harness import ItemsetMiningResult, mine_itemsets
-from .lattice import repair_lattice
 
 __all__ = ["IncrementalUpdateResult", "UpdateStatistics", "update_mining"]
 
@@ -112,13 +114,10 @@ class IncrementalUpdateResult:
 
     #: The mining result of the extended context (same shape as
     #: :func:`repro.experiments.harness.mine_itemsets` returns, so every
-    #: downstream consumer — bases, store, serve — works unchanged).
+    #: downstream consumer — lattice, bases, store, serve — works
+    #: unchanged).
     mining: ItemsetMiningResult
     statistics: UpdateStatistics
-    #: The repaired iceberg lattice, when the caller passed the old one
-    #: and the incremental path ran; ``None`` otherwise (consumers then
-    #: rebuild it lazily through :class:`repro.bases.BasisContext`).
-    lattice: IcebergLattice | None = None
 
 
 def _fresh_statistics(
@@ -189,8 +188,6 @@ def update_mining(
     removed_count: int = 0,
     damage_threshold: float = 0.5,
     verify: str = "off",
-    lattice: IcebergLattice | None = None,
-    workers: int | None = None,
 ) -> IncrementalUpdateResult:
     """Update *mining* for a context extended by *batch* transactions.
 
@@ -216,17 +213,14 @@ def update_mining(
         mine of the extended context; ``"off"`` (default) trusts the
         maintenance algebra (an internal support consistency check stays
         on either way).
-    lattice:
-        The old iceberg lattice; when given (and the incremental path
-        runs) the repaired lattice is returned on the result.
-    workers:
-        Worker threads for the packed lattice kernels.
 
     Returns
     -------
     IncrementalUpdateResult
-        The new mining result (over the extended database), the update
-        statistics, and the repaired lattice when applicable.
+        The new mining result (over the extended database) and the
+        update statistics.  Its lattice and bases are built from the
+        repaired closed family, e.g. through
+        :meth:`~repro.experiments.harness.ItemsetMiningResult.basis_context`.
     """
     if not 0.0 <= damage_threshold <= 1.0:
         raise InvalidParameterError(
@@ -434,12 +428,8 @@ def update_mining(
         generators_by_closure=generators_new,
     )
 
-    repaired_lattice = None
-    if lattice is not None:
-        repaired_lattice = repair_lattice(lattice, closed_new, workers=workers)
-
     if verify == "oracle":
-        _verify_against_oracle(mining_new, repaired_lattice, workers=workers)
+        _verify_against_oracle(mining_new)
 
     stats = UpdateStatistics(
         mode="incremental",
@@ -454,17 +444,11 @@ def update_mining(
         dropped_frequent=len(packed.members) - int(survives.sum()),
     )
     return IncrementalUpdateResult(
-        mining=mining_new,
-        statistics=_fresh_statistics(stats, started),
-        lattice=repaired_lattice,
+        mining=mining_new, statistics=_fresh_statistics(stats, started)
     )
 
 
-def _verify_against_oracle(
-    mining: ItemsetMiningResult,
-    lattice: IcebergLattice | None,
-    workers: int | None,
-) -> None:
+def _verify_against_oracle(mining: ItemsetMiningResult) -> None:
     """Assert the repaired artifacts equal a fresh mine of the context."""
     fresh = mine_itemsets(mining.database, mining.minsup)
     if not mining.frequent.same_contents(fresh.frequent):
@@ -479,20 +463,3 @@ def _verify_against_oracle(
         raise OracleMismatchError(
             "repaired generators differ from the fresh-mine oracle"
         )
-    if lattice is not None:
-        oracle = IcebergLattice(fresh.closed, workers=workers)
-        ours_rows, ours_cols = lattice.hasse_edge_indices()
-        oracle_rows, oracle_cols = oracle.hasse_edge_indices()
-        if not (
-            np.array_equal(ours_rows, oracle_rows)
-            and np.array_equal(ours_cols, oracle_cols)
-        ):
-            raise OracleMismatchError(
-                "repaired lattice edges differ from the fresh-mine oracle"
-            )
-        if not lattice.order_core.packed_containment_matrix().equals(
-            oracle.order_core.packed_containment_matrix()
-        ):
-            raise OracleMismatchError(
-                "repaired containment relation differs from the oracle"
-            )

@@ -36,13 +36,8 @@ class SlidingWindow:
     capacity:
         Maximum number of objects retained; appends beyond it evict the
         oldest objects first.
-    damage_threshold, verify, workers:
+    damage_threshold, verify:
         Forwarded to :func:`~repro.incremental.update.update_mining`.
-    track_lattice:
-        When true, an iceberg lattice is built once up front and
-        incrementally repaired on every append (exposed as
-        :attr:`lattice`); off by default because not every streaming
-        consumer needs the order structure.
     """
 
     def __init__(
@@ -53,8 +48,6 @@ class SlidingWindow:
         *,
         damage_threshold: float = 0.5,
         verify: str = "off",
-        workers: int | None = None,
-        track_lattice: bool = False,
     ) -> None:
         if capacity < 1:
             raise InvalidParameterError(
@@ -68,13 +61,8 @@ class SlidingWindow:
         self._capacity = int(capacity)
         self._damage_threshold = damage_threshold
         self._verify = verify
-        self._workers = workers
         self._mining = mine_itemsets(database, minsup)
-        self._lattice: IcebergLattice | None = (
-            IcebergLattice(self._mining.closed, workers=workers)
-            if track_lattice
-            else None
-        )
+        self._lattice: IcebergLattice | None = None
 
     # ------------------------------------------------------------------
     # State accessors
@@ -105,8 +93,14 @@ class SlidingWindow:
         return self._mining.closed
 
     @property
-    def lattice(self) -> IcebergLattice | None:
-        """The maintained iceberg lattice (``track_lattice=True`` only)."""
+    def lattice(self) -> IcebergLattice:
+        """The iceberg lattice of the current window.
+
+        Built from :attr:`closed` on the first read after each append,
+        so a consumer that never reads it never pays for it.
+        """
+        if self._lattice is None:
+            self._lattice = IcebergLattice(self._mining.closed)
         return self._lattice
 
     def __len__(self) -> int:
@@ -141,14 +135,7 @@ class SlidingWindow:
             removed_count=evict,
             damage_threshold=self._damage_threshold,
             verify=self._verify,
-            lattice=self._lattice,
-            workers=self._workers,
         )
         self._mining = result.mining
-        if self._lattice is not None:
-            self._lattice = (
-                result.lattice
-                if result.lattice is not None
-                else IcebergLattice(result.mining.closed, workers=self._workers)
-            )
+        self._lattice = None
         return result

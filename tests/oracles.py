@@ -514,6 +514,22 @@ def generator_violations(
     return problems
 
 
+def bottom_closure_reference(closed: ClosedItemsetFamily) -> Itemset:
+    """``h(∅)`` from its definition: the items whose support is every object.
+
+    One :meth:`~repro.core.families.ClosedItemsetFamily.closure_of` per
+    item of the family; the shipped
+    :meth:`~repro.core.families.ClosedItemsetFamily.bottom_closure` reads
+    the member of full support instead.
+    """
+    universe = {item for member in closed for item in member}
+    return Itemset(
+        item
+        for item in universe
+        if closed.inferred_support_count(Itemset.of(item)) == closed.n_objects
+    )
+
+
 def frequent_pseudo_closed_itemsets_reference(
     frequent: ItemsetFamily,
     closed: ClosedItemsetFamily,
@@ -527,7 +543,7 @@ def frequent_pseudo_closed_itemsets_reference(
     _check_same_database(frequent, closed)
 
     found: list[PseudoClosedItemset] = []
-    bottom = closed.bottom_closure()
+    bottom = bottom_closure_reference(closed)
 
     def consider(candidate: Itemset, support_count: int) -> None:
         if candidate in closed:

@@ -125,7 +125,7 @@ def test_help_pages_pinned(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     sections = []
     for verb in (None, "stats", "mine", "bases", "list-bases", "save",
-                 "load", "export", "serve", "recommend", "experiment"):
+                 "load", "update", "export", "serve", "recommend", "experiment"):
         args = ["--help"] if verb is None else [verb, "--help"]
         with pytest.raises(SystemExit) as excinfo:
             cli.main(args)

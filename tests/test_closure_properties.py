@@ -7,16 +7,26 @@ properties Section 2 of the paper relies on:
 * ``support(X) == support(h(X))`` (the keystone of Definition 1);
 * ``f`` and ``g`` are antitone and form a Galois connection;
 * the closure computed through the database equals the closure computed by
-  brute force (intersection of covering transactions).
+  brute force (intersection of covering transactions);
+* ``h(∅)`` read off a mined closed family (its member of full support)
+  equals the per-item definition and the intersection of all objects.
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
-from repro import TransactionDatabase
+from repro import AClose, Charm, Close, TransactionDatabase
 from repro.core.closure import GaloisConnection
 from repro.core.itemset import Itemset
+from repro.experiments.harness import mine_itemsets
+from repro.incremental import update_mining
+from repro.store import load_run, save_run
+
+from oracles import bottom_closure_reference
 
 ITEM_POOL = ["a", "b", "c", "d", "e", "f"]
 
@@ -140,3 +150,39 @@ def test_closed_itemsets_are_exactly_fixed_points(db):
             candidate = Itemset(combo)
             if db.closure(candidate) == candidate:
                 assert candidate in enumerated
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_items=st.sampled_from([63, 64, 65]),
+    universal=st.booleans(),
+    minsup=st.sampled_from([0.25, 0.5]),
+    data=st.data(),
+)
+def test_bottom_closure_is_the_member_of_full_support(n_items, universal, minsup, data):
+    """Close, A-Close, CHARM, an update and a store round trip all agree."""
+    pool = [f"i{j:02d}" for j in range(n_items)]
+    rows_of = st.lists(
+        st.sets(st.sampled_from(pool), min_size=1, max_size=8), min_size=2, max_size=6
+    )
+    base, batch = data.draw(rows_of), data.draw(rows_of)
+    if universal:  # h(∅) ≠ ∅ whatever the draw
+        base = [row | {pool[-1]} for row in base]
+        batch = [row | {pool[-1]} for row in batch]
+    db = TransactionDatabase(base, item_order=pool)
+    updated = update_mining(mine_itemsets(db, minsup), batch, damage_threshold=1.0)
+    closed = Close(minsup).mine(db)
+    with tempfile.TemporaryDirectory() as scratch:
+        stored = load_run(save_run(Path(scratch) / "run.npz", closed=closed)).closed
+    families = [
+        (db, closed),
+        (db, AClose(minsup).mine(db)),
+        (db, Charm(minsup).mine(db)),
+        (db, stored),
+        (updated.mining.database, updated.mining.closed),
+    ]
+    for context, family in families:
+        bottom = Itemset(frozenset.intersection(*map(frozenset, context)))
+        assert family.bottom_closure() == bottom_closure_reference(family) == bottom
+        if universal:
+            assert pool[-1] in bottom

@@ -7,8 +7,10 @@ import pytest
 from repro import AClose, Close
 from repro.core.generators import GeneratorFamily, is_minimal_generator
 from repro.core.itemset import Itemset
+from repro.data.context import TransactionDatabase
 from repro.errors import InvalidParameterError
 
+from conftest import make_random_db
 from oracles import generator_violations, minimal_generators_brute_force
 
 
@@ -113,3 +115,30 @@ class TestGeneratorFamily:
         # other recorded generators must verify.
         problems = [p for p in generator_violations(family, toy_db) if "minimal" in p]
         assert problems == []
+
+    @pytest.mark.parametrize("universal", [False, True], ids=["bottom-empty", "bottom-u"])
+    @pytest.mark.parametrize("miner_class", [Close, AClose])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_packed_rows_point_at_each_generator_closure(
+        self, seed, miner_class, universal
+    ):
+        db = make_random_db(seed)
+        if universal:  # every object holds "u", so h(∅) ≠ ∅
+            db = TransactionDatabase(
+                [row.as_frozenset() | {"u"} for row in db.transactions()]
+            )
+        miner = miner_class(minsup=0.15)
+        closed = miner.mine(db)
+        family = GeneratorFamily(closed, miner.generators_by_closure)
+        packed = family.packed()
+        rows = closed.packed().members
+        assert [(rows[r], g) for r, g in zip(packed.closure_rows, packed.members)] == [
+            (closure, generator)
+            for closure in family.closed_itemsets()
+            for generator in family.generators_of(closure)
+        ]
+        for row, count, generator in zip(
+            packed.closure_rows, packed.counts, packed.members
+        ):
+            assert rows[row] == db.closure(generator)
+            assert count == db.support_count(generator)

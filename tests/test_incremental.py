@@ -2,10 +2,10 @@
 
 Four layers, mirroring the package: the extended-context constructor
 and its warm engine hand-off, the delta maintenance of the mined
-families (always checked against the fresh-mine oracle), the
-Hasse-diagram repair of the iceberg lattice (byte-identical to a
-from-scratch build), and the store/CLI/serve wiring that carries a
-repaired generation all the way to a watching daemon.
+families (always checked against the fresh-mine oracle), the sliding
+window, and the store/CLI/serve wiring that carries a repaired
+generation all the way to a watching daemon (the rewritten store
+byte-identical to a fresh save of the extended context).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.itemset import Itemset
-from repro.core.lattice import IcebergLattice
 from repro.data.context import TransactionDatabase
 from repro.data.synthetic import make_rule_dense_context
 from repro.errors import InvalidParameterError, OracleMismatchError
@@ -23,15 +22,10 @@ from repro.experiments.harness import (
     mine_itemsets,
     save_artifacts,
 )
-from repro.incremental import (
-    SlidingWindow,
-    repair_lattice,
-    update_mining,
-)
+from repro.incremental import SlidingWindow, update_mining
 from repro.incremental.store import update_store
 
 from conftest import make_random_db
-from oracles import is_transitive_reduction
 
 TOY = [
     ["a", "c", "d"],
@@ -274,84 +268,18 @@ class TestUpdateMining:
 
 
 # ----------------------------------------------------------------------
-# Lattice repair
-# ----------------------------------------------------------------------
-class TestLatticeRepair:
-    def repaired_and_fresh(self, db, minsup, batch, removed_count=0):
-        mining = mine_itemsets(db, minsup)
-        old_lattice = IcebergLattice(mining.closed)
-        result = update_mining(
-            mining,
-            batch,
-            removed_count=removed_count,
-            damage_threshold=1.0,
-            verify="oracle",
-            lattice=old_lattice,
-        )
-        assert result.statistics.mode == "incremental"
-        assert result.lattice is not None
-        fresh = IcebergLattice(result.mining.closed)
-        return result.lattice, fresh
-
-    def assert_identical(self, repaired, fresh):
-        r_rows, r_cols = repaired.hasse_edge_indices()
-        f_rows, f_cols = fresh.hasse_edge_indices()
-        assert np.array_equal(r_rows, f_rows)
-        assert np.array_equal(r_cols, f_cols)
-        assert repaired.members == fresh.members
-        assert repaired.order_core.packed_containment_matrix().equals(
-            fresh.order_core.packed_containment_matrix()
-        )
-        assert is_transitive_reduction(repaired)
-
-    def test_append_repair_is_byte_identical(self, toy_db):
-        repaired, fresh = self.repaired_and_fresh(
-            toy_db, 0.4, [["a", "b", "c", "e"], ["a", "c", "f"]]
-        )
-        self.assert_identical(repaired, fresh)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_random_repairs_are_byte_identical(self, seed):
-        repaired, fresh = self.repaired_and_fresh(
-            make_random_db(seed), 0.15, random_batch(seed, 5)
-        )
-        self.assert_identical(repaired, fresh)
-
-    @pytest.mark.parametrize("seed", [5, 6, 7])
-    def test_repair_with_removed_nodes(self, seed):
-        """Equal-size eviction exercises the removed-node bridge pass."""
-        repaired, fresh = self.repaired_and_fresh(
-            make_random_db(seed), 0.2, random_batch(seed, 4), removed_count=4
-        )
-        self.assert_identical(repaired, fresh)
-
-    def test_repair_from_empty_old_lattice(self):
-        """Degenerate old family: the repair degrades to a fresh build."""
-        db = TransactionDatabase([["a"], ["b"]], name="tiny")
-        mining = mine_itemsets(db, 1.0)  # nothing frequent but the closure of {}
-        old_lattice = IcebergLattice(mining.closed)
-        closed_new = mine_itemsets(db.extended([["a", "b"]]), 0.3).closed
-        repaired = repair_lattice(old_lattice, closed_new)
-        fresh = IcebergLattice(closed_new)
-        assert repaired.members == fresh.members
-        assert repaired.edge_count() == fresh.edge_count()
-
-
-# ----------------------------------------------------------------------
 # Sliding window
 # ----------------------------------------------------------------------
 class TestSlidingWindow:
     def test_streaming_stays_exact_under_churn(self):
         db = make_random_db(3, n_objects=20)
         window = SlidingWindow(
-            db, 0.2, capacity=24, damage_threshold=1.0, verify="oracle",
-            track_lattice=True,
+            db, 0.2, capacity=24, damage_threshold=1.0, verify="oracle"
         )
         for step in range(6):
             result = window.append(random_batch(step, 3))
             assert len(window) <= 24
             assert window.mining is result.mining
-            assert window.lattice is not None
             assert window.lattice.closed_family is window.closed
         assert len(window) == 24  # at capacity: every append now evicts
 
@@ -376,11 +304,63 @@ class TestSlidingWindow:
 # ----------------------------------------------------------------------
 # Store and serve wiring
 # ----------------------------------------------------------------------
-def build_store(path, minsup=0.4, minconf=0.7):
-    db = TransactionDatabase(TOY, name="toy")
+def fresh_save(path, rows, item_order, name, minsup, minconf):
+    """What ``repro save`` writes for *rows* mined from scratch."""
+    db = TransactionDatabase(rows, item_order=item_order, name=name)
     mining = mine_itemsets(db, minsup)
-    artifacts = build_rule_artifacts(mining, minconf=minconf)
-    return save_artifacts(path, mining, artifacts)
+    return save_artifacts(path, mining, build_rule_artifacts(mining, minconf=minconf))
+
+
+def build_store(path, minsup=0.4, minconf=0.7):
+    return fresh_save(path, TOY, None, "toy", minsup, minconf)
+
+
+class TestUpdatedStoreEqualsFreshSave:
+    """The rewritten store holds the arrays a fresh save of its context does."""
+
+    @staticmethod
+    def source(name):
+        """A base context, its thresholds and two successive batches."""
+        if name == "toy":
+            # "f" is new to the universe; the eviction drops the only "d" row.
+            batches = [
+                [["a", "b", "c", "e"], ["b", "c", "f"]],
+                [["a", "c", "f"], ["b", "e"]],
+            ]
+            return TransactionDatabase(TOY, name="toy"), 0.4, 0.7, batches
+        seed = int(name)
+        batches = [random_batch(seed, 4), random_batch(seed + 50, 3)]
+        return make_random_db(seed), 0.15, 0.6, batches
+
+    @pytest.mark.parametrize("evict", [False, True], ids=["append", "window"])
+    @pytest.mark.parametrize("name", ["toy", "0", "1", "2"])
+    def test_every_array_digest_equals_a_fresh_save(self, tmp_path, name, evict):
+        from repro.store import read_manifest
+
+        db, minsup, minconf, batches = self.source(name)
+        path = tmp_path / "run.npz"
+        rows = [sorted(row.as_frozenset()) for row in db.transactions()]
+        fresh_save(path, rows, db.items, db.name, minsup, minconf)
+        for step, batch in enumerate(batches):
+            _, result = update_store(
+                path,
+                batch,
+                window=db.n_objects if evict else None,
+                damage_threshold=1.0,
+            )
+            assert result.statistics.mode == "incremental"
+            rows = rows + [sorted(row) for row in batch]
+            if evict:
+                rows = rows[len(batch):]
+            fresh = fresh_save(
+                tmp_path / f"fresh{step}.npz", rows, db.items, db.name,
+                minsup, minconf,
+            )
+            updated, expected = read_manifest(path), read_manifest(fresh)
+            assert (
+                updated["integrity"]["arrays"] == expected["integrity"]["arrays"]
+            )
+            assert updated == expected
 
 
 class TestUpdateStore:

@@ -6,7 +6,7 @@ one of them the repaired artifacts must be *exactly* the ones a fresh
 full mine of the extended context produces.  The comparison itself is
 ``update_mining(..., verify="oracle")``, which raises
 :class:`~repro.errors.OracleMismatchError` the moment any repaired
-family, generator map or lattice edge disagrees with the oracle — so
+family or generator map disagrees with the oracle — so
 every property here is "the update runs and nothing raises", plus a few
 explicit cross-checks on the fly.
 
@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.itemset import Itemset
-from repro.core.lattice import IcebergLattice
 from repro.data.context import TransactionDatabase
 from repro.experiments.harness import mine_itemsets
 from repro.incremental import SlidingWindow, update_mining
@@ -75,15 +74,12 @@ def repair_against_oracle(case):
         removed_count=removed,
         damage_threshold=1.0,
         verify="oracle",
-        lattice=IcebergLattice(mining.closed),
     )
     assert result.statistics.mode == "incremental"
     assert result.mining.database.n_objects == len(base) + len(batch) - removed
-    # the repaired closed family backs both the generator family and the
-    # repaired lattice (the store's identity requirement)
+    # the repaired closed family backs the generator family (the store's
+    # identity requirement)
     assert result.mining.generator_family.closed_family is result.mining.closed
-    if result.lattice is not None:
-        assert result.lattice.closed_family is result.mining.closed
     return result
 
 
@@ -122,7 +118,6 @@ def test_update_leaves_closure_caches_untouched(toy_transactions, removed):
         removed_count=removed,
         damage_threshold=1.0,
         verify="oracle",
-        lattice=IcebergLattice(mining.closed),
     )
     assert result.statistics.mode == "incremental"
     for database in (db, result.mining.database):
@@ -173,7 +168,6 @@ def test_word_boundary_universes(n_items, data):
         batch,
         damage_threshold=1.0,
         verify="oracle",
-        lattice=IcebergLattice(mining.closed),
     )
     assert result.statistics.mode == "incremental"
     assert result.mining.database.n_items == n_items
@@ -191,10 +185,8 @@ def test_sliding_window_stays_exact_over_many_steps(base, batches):
         capacity=len(base) + 3,
         damage_threshold=1.0,
         verify="oracle",
-        track_lattice=True,
     )
     for batch in batches:
         window.append(batch)
         assert len(window) <= window.capacity
-        assert window.lattice is not None
         assert window.lattice.closed_family is window.closed
